@@ -83,7 +83,11 @@ fn main() {
     // Distributed serving (ajax-dist): QPS scaling, slow-shard hedging, and
     // the double-launch determinism check (same corpus and seeds ⇒ identical
     // merged results — the exp_fault_sweep discipline applied to serving).
-    let dist = distributed::collect(scale.query_pages.min(40));
+    let dist = distributed::collect(
+        scale.query_pages.min(40),
+        distributed::REPEATS,
+        distributed::QUERIES_PER_REPEAT,
+    );
     println!("{}", dist.render());
     util::write_json("distributed", &dist);
     assert!(
@@ -145,7 +149,7 @@ fn main() {
          with hedging ({} hedges), deterministic: {}",
         dist.scaling
             .iter()
-            .map(|s| format!("{:.0}", s.qps))
+            .map(|s| format!("{:.0}", s.qps.median))
             .collect::<Vec<_>>()
             .join("/"),
         dist.fault.p99_hedge_off_micros / 1e3,

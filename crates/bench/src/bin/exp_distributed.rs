@@ -1,7 +1,8 @@
-//! Distributed-serving experiment: QPS scaling across 1/2/4 shard clusters,
-//! p99 under an injected slow shard with hedging off vs on, and
-//! determinism across launches. Writes `BENCH_distributed.json` in the
-//! working directory (the repo's perf baseline) in addition to the usual
+//! Distributed-serving experiment: QPS scaling across 1/2/4 shard clusters
+//! (median and min–max over 5 repeats of 1000 queries each), p99 under an
+//! injected slow shard with hedging off vs on, and determinism across
+//! launches. Writes `BENCH_distributed.json` in the working directory (the
+//! repo's perf baseline) in addition to the usual
 //! `target/experiments/distributed.json` dump. Exits nonzero if any
 //! consistency invariant fails.
 //!
@@ -21,7 +22,11 @@ fn main() -> ExitCode {
         .map(|v| v.parse().expect("--videos must be a number"))
         .unwrap_or_else(|| Scale::from_env().query_pages);
 
-    let data = distributed::collect(videos);
+    let data = distributed::collect(
+        videos,
+        distributed::REPEATS,
+        distributed::QUERIES_PER_REPEAT,
+    );
     println!("{}", data.render());
     util::write_json("distributed", &data);
 

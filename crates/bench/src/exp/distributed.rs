@@ -5,10 +5,13 @@
 //! Three phases, each against in-process (thread-mode) shard servers
 //! speaking the real TCP protocol through the coordinator:
 //!
-//! 1. **scaling** — the workload runs through 1-, 2- and 4-shard clusters
-//!    (result cache off, so every query crosses the wire and evaluates);
-//!    each cluster's merged results are checked bit-identical to an
-//!    in-process broker over the same corpus.
+//! 1. **scaling** — the workload, cycled to [`QUERIES_PER_REPEAT`] queries,
+//!    runs through 1-, 2- and 4-shard clusters (result cache off, so every
+//!    query crosses the wire and evaluates), [`REPEATS`] times with the
+//!    shard counts interleaved so host drift hits each alike. QPS, p50 and
+//!    p99 are reported as the median and min–max over the repeats. Every
+//!    merged result list is checked bit-identical to an in-process broker
+//!    over the same corpus.
 //! 2. **fault injection** — a 2-shard cluster where every reply chunk from
 //!    shard 1 is slowed through a [`ajax_net::FaultProxy`]; p99 is measured
 //!    with hedging off, then with hedging on (the hedge path re-issues on a
@@ -36,16 +39,39 @@ const FAULT_SEED: u64 = 11;
 const SLOW_FACTOR: f64 = 20.0;
 /// Hedge fires this long after ship when a shard hasn't answered.
 const HEDGE_AFTER_MICROS: u64 = 2_000;
+/// Scaling-phase repeats per shard count.
+pub const REPEATS: usize = 5;
+/// Queries per scaling repeat (the 100-query workload, cycled).
+pub const QUERIES_PER_REPEAT: usize = 1_000;
+
+/// The median and the min–max spread of one measurement over the repeats.
+#[derive(Debug, Clone, Copy, Serialize)]
+pub struct Spread {
+    pub median: f64,
+    pub min: f64,
+    pub max: f64,
+}
+
+impl Spread {
+    fn of(samples: &[f64]) -> Self {
+        Self {
+            median: percentile(samples, 0.5),
+            min: percentile(samples, 0.0),
+            max: percentile(samples, 1.0),
+        }
+    }
+}
 
 /// One shard-count cell of the scaling phase.
 #[derive(Debug, Clone, Serialize)]
 pub struct ShardScaling {
     pub shards: usize,
+    /// Queries per repeat.
     pub queries: usize,
-    pub wall_micros: u64,
-    pub qps: f64,
-    pub p50_micros: f64,
-    pub p99_micros: f64,
+    pub repeats: usize,
+    pub qps: Spread,
+    pub p50_micros: Spread,
+    pub p99_micros: Spread,
     /// Merged results bit-identical to the in-process broker (documents,
     /// order, score bits).
     pub matches_single_process: bool,
@@ -76,6 +102,15 @@ pub struct DistributedData {
     /// Two independent cluster launches produced bit-identical merged
     /// results for the entire workload.
     pub deterministic: bool,
+}
+
+/// One shard count's per-repeat samples while the scaling phase runs.
+struct ScalingRuns {
+    shards: usize,
+    qps: Vec<f64>,
+    p50: Vec<f64>,
+    p99: Vec<f64>,
+    matches: bool,
 }
 
 struct Corpus {
@@ -158,8 +193,9 @@ fn percentile(samples: &[f64], q: f64) -> f64 {
     sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
-/// Runs all three phases over `videos` VidShare pages.
-pub fn collect(videos: u32) -> DistributedData {
+/// Runs all three phases over `videos` VidShare pages; the scaling phase
+/// makes `repeats` runs of `queries` queries per shard count.
+pub fn collect(videos: u32, repeats: usize, queries: usize) -> DistributedData {
     let workload = query_phrases();
     let corpus = build_corpus(videos);
 
@@ -176,33 +212,58 @@ pub fn collect(videos: u32) -> DistributedData {
         .map(|q| broker.search(&Query::parse(q)))
         .collect();
 
-    // Phase 1: QPS scaling across shard counts.
-    let mut scaling = Vec::new();
-    for shards in [1usize, 2, 4] {
-        eprintln!("[distributed] scaling: {shards} shard(s)…");
-        let mut cluster = launch(
-            &corpus,
+    // Phase 1: QPS scaling across shard counts, shard counts interleaved
+    // within each repeat.
+    const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+    let cycled: Vec<&str> = workload.iter().copied().cycle().take(queries).collect();
+    let cycled_reference: Vec<Vec<BrokerResult>> = (0..queries)
+        .map(|i| reference[i % reference.len()].clone())
+        .collect();
+    let mut cells: Vec<ScalingRuns> = SHARD_COUNTS
+        .iter()
+        .map(|&shards| ScalingRuns {
             shards,
-            ClusterConfig {
-                serve: bench_serve_config(),
-                hedge_after_micros: None,
-                chaos: None,
-            },
-        );
-        let t0 = std::time::Instant::now();
-        let (samples, results, _) = run_workload(&cluster, workload);
-        let wall_micros = t0.elapsed().as_micros() as u64;
-        cluster.shutdown();
-        scaling.push(ShardScaling {
-            shards,
-            queries: workload.len(),
-            wall_micros,
-            qps: workload.len() as f64 / (wall_micros as f64 / 1e6).max(1e-9),
-            p50_micros: percentile(&samples, 0.50),
-            p99_micros: percentile(&samples, 0.99),
-            matches_single_process: results_identical(&results, &reference),
-        });
+            qps: Vec::new(),
+            p50: Vec::new(),
+            p99: Vec::new(),
+            matches: true,
+        })
+        .collect();
+    for repeat in 1..=repeats {
+        for cell in &mut cells {
+            let shards = cell.shards;
+            eprintln!("[distributed] scaling: {shards} shard(s), repeat {repeat}/{repeats}…");
+            let mut cluster = launch(
+                &corpus,
+                shards,
+                ClusterConfig {
+                    serve: bench_serve_config(),
+                    hedge_after_micros: None,
+                    chaos: None,
+                },
+            );
+            let t0 = std::time::Instant::now();
+            let (samples, results, _) = run_workload(&cluster, &cycled);
+            let wall_secs = t0.elapsed().as_secs_f64();
+            cluster.shutdown();
+            cell.qps.push(queries as f64 / wall_secs.max(1e-9));
+            cell.p50.push(percentile(&samples, 0.50));
+            cell.p99.push(percentile(&samples, 0.99));
+            cell.matches &= results_identical(&results, &cycled_reference);
+        }
     }
+    let scaling = cells
+        .into_iter()
+        .map(|cell| ShardScaling {
+            shards: cell.shards,
+            queries,
+            repeats,
+            qps: Spread::of(&cell.qps),
+            p50_micros: Spread::of(&cell.p50),
+            p99_micros: Spread::of(&cell.p99),
+            matches_single_process: cell.matches,
+        })
+        .collect();
 
     // Phase 2: slow shard 1, hedging off vs on.
     let chaos = ProxyConfig::new(FaultPlan::new(FAULT_SEED).with_rule(FaultRule::matching(
@@ -299,15 +360,26 @@ impl DistributedData {
     /// Renders the scaling table and the fault/hedging summary.
     pub fn render(&self) -> String {
         let mut t = TableFmt::new(vec![
-            "shards", "queries", "QPS", "p50 µs", "p99 µs", "= single",
+            "shards",
+            "queries",
+            "QPS [min–max]",
+            "p50 µs [min–max]",
+            "p99 µs [min–max]",
+            "= single",
         ]);
+        let cell = |s: &Spread, digits: usize| {
+            format!(
+                "{:.digits$} [{:.digits$}–{:.digits$}]",
+                s.median, s.min, s.max
+            )
+        };
         for s in &self.scaling {
             t.row(vec![
                 s.shards.to_string(),
-                s.queries.to_string(),
-                format!("{:.0}", s.qps),
-                format!("{:.1}", s.p50_micros),
-                format!("{:.1}", s.p99_micros),
+                format!("{}×{}", s.repeats, s.queries),
+                cell(&s.qps, 0),
+                cell(&s.p50_micros, 1),
+                cell(&s.p99_micros, 1),
                 if s.matches_single_process {
                     "yes"
                 } else {
@@ -317,7 +389,8 @@ impl DistributedData {
             ]);
         }
         format!(
-            "Distributed serving — doc-partitioned shards over TCP, {} queries\n{}\n\
+            "Distributed serving — doc-partitioned shards over TCP, {}-query workload \
+             (scaling: median [min–max] over repeats)\n{}\n\
              slow-shard fault (x{:.0} on shard 1 replies): p99 {:.1} ms hedge-off \
              → {:.1} ms hedge-on ({} hedges fired, full results: {})\n\
              determinism across launches: {}\n",
@@ -342,7 +415,7 @@ mod tests {
     /// slow shard without changing results, determinism across launches.
     #[test]
     fn distributed_meets_acceptance_criteria() {
-        let data = collect(10);
+        let data = collect(10, 2, 150);
         assert_eq!(data.scaling.len(), 3);
         for s in &data.scaling {
             assert!(
@@ -350,7 +423,8 @@ mod tests {
                 "{} shards diverged from the in-process broker",
                 s.shards
             );
-            assert!(s.qps > 0.0);
+            assert!(s.qps.min > 0.0);
+            assert!(s.qps.min <= s.qps.median && s.qps.median <= s.qps.max);
         }
         assert!(
             data.fault.hedges_fired > 0,

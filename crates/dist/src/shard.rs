@@ -30,6 +30,8 @@ use crate::proto::{
 };
 use ajax_index::{eval_shard_with_scratch, InvertedIndex, ScoreScratch};
 use ajax_obs::{AttrValue, SpanLog};
+use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,8 +53,10 @@ struct ShardCtx {
     index: Arc<InvertedIndex>,
     shard_id: usize,
     shutdown: Arc<AtomicBool>,
-    /// Clones of live connection streams, so `kill` can sever them.
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// Clones of live connection streams by connection number, so `kill`
+    /// can sever them. A connection's entry goes when its thread ends, so
+    /// the shard holds no descriptor for a closed connection.
+    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
     /// Optional shard-side flight recorder (thread mode only): `rpc.recv` /
     /// `shard.eval` / `rpc.send` spans on track `shard_id + 1`, timestamps
     /// in µs since `epoch`.
@@ -89,7 +93,7 @@ pub fn serve_shard(listener: TcpListener, index: Arc<InvertedIndex>, shard_id: u
         index,
         shard_id,
         shutdown: Arc::new(AtomicBool::new(false)),
-        conns: Arc::new(Mutex::new(Vec::new())),
+        conns: Arc::new(Mutex::new(HashMap::new())),
         trace: None,
         epoch: Instant::now(),
     });
@@ -97,7 +101,7 @@ pub fn serve_shard(listener: TcpListener, index: Arc<InvertedIndex>, shard_id: u
 }
 
 fn accept_loop(listener: TcpListener, ctx: &Arc<ShardCtx>) {
-    loop {
+    for conn_no in 0u64.. {
         let Ok((stream, _)) = listener.accept() else {
             return;
         };
@@ -106,18 +110,34 @@ fn accept_loop(listener: TcpListener, ctx: &Arc<ShardCtx>) {
         }
         let _ = stream.set_nodelay(true);
         if let Ok(clone) = stream.try_clone() {
-            ctx.conns.lock().unwrap().push(clone);
+            ctx.conns
+                .lock()
+                .expect("connection registry lock")
+                .insert(conn_no, clone);
         }
         let ctx = Arc::clone(ctx);
-        std::thread::spawn(move || connection_loop(stream, &ctx));
+        std::thread::spawn(move || {
+            connection_loop(&stream, &ctx);
+            ctx.conns
+                .lock()
+                .expect("connection registry lock")
+                .remove(&conn_no);
+        });
     }
 }
 
-fn connection_loop(mut stream: TcpStream, ctx: &ShardCtx) {
+fn connection_loop(stream: &TcpStream, ctx: &ShardCtx) {
+    // Reads go through a buffer (one syscall per frame, or fewer when frames
+    // are pipelined); replies are written to the socket as whole frames.
+    // Both halves borrow the one descriptor: duplicating it would cost an
+    // fd per connection, and growing the fd table of a multi-threaded
+    // process can stall for milliseconds.
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     let mut scratch = ScoreScratch::default();
     loop {
         let recv_start = ctx.now();
-        let msg = match read_message(&mut stream) {
+        let msg = match read_message(&mut reader) {
             Ok(msg) => msg,
             // Peer hung up or sent garbage; either way this connection is
             // done. The coordinator reconnects with backoff if it cares.
@@ -132,7 +152,7 @@ fn connection_loop(mut stream: TcpStream, ctx: &ShardCtx) {
                     index_bytes: ctx.index.approx_bytes() as u64,
                     term_count: ctx.index.term_count() as u64,
                 };
-                if write_message(&mut stream, &Message::Pong(info)).is_err() {
+                if write_message(&mut writer, &Message::Pong(info)).is_err() {
                     return;
                 }
             }
@@ -167,7 +187,7 @@ fn connection_loop(mut stream: TcpStream, ctx: &ShardCtx) {
                     }
                 };
                 let send_start = ctx.now();
-                if write_message(&mut stream, &reply).is_err() {
+                if write_message(&mut writer, &reply).is_err() {
                     return;
                 }
                 ctx.record_span("rpc.send", send_start, ctx.now(), req.id);
@@ -184,7 +204,7 @@ pub struct ShardHandle {
     /// Where the shard listens (always 127.0.0.1).
     pub addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -204,7 +224,7 @@ impl ShardHandle {
             index,
             shard_id,
             shutdown: Arc::new(AtomicBool::new(false)),
-            conns: Arc::new(Mutex::new(Vec::new())),
+            conns: Arc::new(Mutex::new(HashMap::new())),
             trace,
             epoch: Instant::now(),
         });
@@ -228,7 +248,7 @@ impl ShardHandle {
     /// can be spawned on the same address to test reconnect-with-backoff.
     pub fn kill(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for conn in self.conns.lock().unwrap().drain(..) {
+        for (_, conn) in self.conns.lock().unwrap().drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         // Unblock the accept loop with a throwaway connection.
@@ -315,6 +335,24 @@ mod tests {
         let mut conn = TcpStream::connect(addr).unwrap();
         write_message(&mut conn, &Message::Ping).unwrap();
         assert!(matches!(read_message(&mut conn).unwrap(), Message::Pong(_)));
+    }
+
+    /// A closed connection leaves no descriptor behind in the shard (a
+    /// coordinator that hedges opens one connection per hedge, for as long
+    /// as the shard runs).
+    #[test]
+    fn closed_connections_are_forgotten() {
+        let shard = ShardHandle::spawn(test_index(), 0, 0, None).unwrap();
+        for _ in 0..8 {
+            let mut conn = TcpStream::connect(shard.addr).unwrap();
+            write_message(&mut conn, &Message::Ping).unwrap();
+            assert!(matches!(read_message(&mut conn).unwrap(), Message::Pong(_)));
+        }
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !shard.conns.lock().unwrap().is_empty() {
+            assert!(Instant::now() < deadline, "closed connections still held");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ use ajax_net::Micros;
 use ajax_obs::{AttrValue, SpanLog};
 use ajax_serve::{Rendezvous, ShardOutcome, ShardTransport, TransportError};
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -233,9 +234,10 @@ impl TcpTransport {
     }
 }
 
-fn reader_loop(conn: &Arc<ShardConn>, mut stream: TcpStream) {
+fn reader_loop(conn: &Arc<ShardConn>, stream: TcpStream) {
+    let mut reader = BufReader::new(stream);
     loop {
-        match read_message(&mut stream) {
+        match read_message(&mut reader) {
             Ok(Message::Reply(reply)) => {
                 let t = conn.now();
                 let pending = conn.pending.lock().unwrap().remove(&reply.id);
@@ -264,7 +266,7 @@ fn reader_loop(conn: &Arc<ShardConn>, mut stream: TcpStream) {
                     return;
                 }
                 match reconnect_backoff(conn) {
-                    Some(new_stream) => stream = new_stream,
+                    Some(new_stream) => reader = BufReader::new(new_stream),
                     None => return,
                 }
             }
@@ -446,5 +448,47 @@ impl ShardTransport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         ShardTransport::shutdown(self);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    /// A shard still speaking protocol v1 answers the (unchanged) `Ping`
+    /// with a JSON `Pong`. The coordinator must refuse it as a handshake
+    /// failure — no panic, and no hang waiting for bytes that never come.
+    #[test]
+    fn handshake_with_a_v1_json_shard_fails_cleanly() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut ping = [0u8; 5];
+            stream.read_exact(&mut ping).unwrap();
+            assert_eq!(ping, [1, 0, 0, 0, 3], "a Ping frame");
+            let json = br#"{"shard_id":0,"proto_version":1,"total_states":5000,"index_bytes":1048576,"term_count":31337}"#;
+            let mut frame = (json.len() as u32 + 1).to_le_bytes().to_vec();
+            frame.push(4); // Pong
+            frame.extend_from_slice(json);
+            stream.write_all(&frame).unwrap();
+            // Hold the connection open until the coordinator gives up.
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let connected =
+                TcpTransport::connect(vec![ShardEndpoint::direct(addr)], Default::default());
+            tx.send(connected.err()).unwrap();
+        });
+        let err = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("handshake must not hang")
+            .expect("a v1 shard must be refused");
+        assert!(matches!(err, DistError::Handshake { .. }), "{err}");
+        peer.join().unwrap();
     }
 }

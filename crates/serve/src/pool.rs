@@ -174,6 +174,10 @@ fn worker_loop(
         // under a manual clock that never advances — the degraded path is
         // testable without real time.
         let expired = deadline.is_some_and(|d| clock.now_micros() >= d);
+        // The modeled cost this job charges to a manual clock: the span of a
+        // worker covers only its own cost, not advances other workers make on
+        // the shared clock in the meantime.
+        let modeled_cost = if expired { 0 } else { eval_cost_micros };
         let outcome = if expired {
             ShardOutcome::TimedOut
         } else {
@@ -195,7 +199,11 @@ fn worker_loop(
                 ShardOutcome::TimedOut => "timed_out",
                 ShardOutcome::Failed => "failed",
             };
-            let end = clock.now_micros();
+            let end = if clock.is_manual() {
+                eval_start + modeled_cost
+            } else {
+                clock.now_micros()
+            };
             let mut log = trace.lock().expect("trace ring lock");
             // Track 0 belongs to the server's admission/merge spans.
             log.set_track(shard_idx as u32 + 1);

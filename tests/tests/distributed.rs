@@ -182,6 +182,65 @@ fn hedging_under_slow_shard_preserves_results() {
     cluster.shutdown();
 }
 
+/// Degenerate rank weights (the set of `query.rs`'
+/// `top_k_matches_full_sort_under_degenerate_weights`) drive weights and
+/// scores to NaN and ±inf. Both must cross the wire in every bit: the
+/// 2-shard TCP answer equals `QueryBroker::search` over the same partitions
+/// and is not degraded. (The JSON frames of protocol v1 could not encode
+/// non-finite floats, so every shard came back failed.)
+#[test]
+fn non_finite_weights_and_scores_cross_the_wire() {
+    let models: Vec<AppModel> = (0..25)
+        .map(|page| {
+            let mut m = AppModel::new(format!("http://x/{page:02}"));
+            m.add_state(1, format!("common filler{}", page % 5), None);
+            m
+        })
+        .collect();
+    // Even pages carry no PageRank, odd ones 0.0 — so inf·0 = NaN.
+    let pagerank = |url: &str| {
+        let page: usize = url.trim_start_matches("http://x/").parse().unwrap();
+        (page % 2 == 1).then_some(0.0)
+    };
+    let degenerate = [
+        RankWeights {
+            pagerank: f64::INFINITY,
+            ajaxrank: 0.0,
+            tfidf: 1.0,
+            proximity: 0.0,
+        },
+        RankWeights {
+            pagerank: f64::NAN,
+            ajaxrank: 1.0,
+            tfidf: 1.0,
+            proximity: 1.0,
+        },
+        RankWeights {
+            pagerank: f64::NEG_INFINITY,
+            ajaxrank: f64::INFINITY,
+            tfidf: 0.0,
+            proximity: 0.0,
+        },
+    ];
+    let query = ajax_index::Query::parse("common");
+    for (wi, weights) in degenerate.into_iter().enumerate() {
+        let mut broker = QueryBroker::new(partition_models(&models, pagerank, 2, None));
+        broker.weights = weights;
+        let want = broker.search(&query);
+        assert_eq!(want.len(), 25);
+        let mut cluster = DistCluster::launch_threads(
+            partition_models(&models, pagerank, 2, None),
+            weights,
+            ClusterConfig::default(),
+        )
+        .expect("cluster launch");
+        let got = cluster.server.search("common").expect("admitted");
+        assert!(!got.degraded, "weights[{wi}] degraded: {got:?}");
+        assert_bit_identical(&got.results, &want, &format!("weights[{wi}]"));
+        cluster.shutdown();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
