@@ -15,7 +15,7 @@ use ajax_crawl::partition::partition_urls;
 use ajax_index::invert::{build_index_parallel, planned_build_path, IndexBuilder, InvertedIndex};
 use ajax_index::query::{search, Query, RankWeights};
 use ajax_index::reference::{ref_search, RefIndex, RefIndexBuilder};
-use ajax_index::{load_index, save_index, save_index_v3};
+use ajax_index::{load_index, save_index};
 use ajax_net::Server;
 use ajax_webgen::{query_workload, NewsShareServer, NewsSpec, VidShareServer, VidShareSpec};
 use serde::Serialize;
@@ -29,8 +29,7 @@ const QUERY_REPS: usize = 3;
 const BUILD_REPS: usize = 3;
 /// Cold-start (open → first query) repetitions; the reported time is the
 /// fastest. Repeats run against a warm page cache, so this isolates the
-/// *decode* cost difference — v3 must deserialize the whole JSON payload,
-/// v4 maps the segment and decodes nothing up front.
+/// open-time work: mapping the segment and validating its structure.
 const COLD_REPS: usize = 3;
 
 /// The corpus scale the committed v4 on-disk ceilings were measured at —
@@ -51,27 +50,19 @@ pub struct SitePerf {
     pub pages: usize,
     pub states: u64,
     pub terms: usize,
-    /// Honest resident size: dictionary strings, posting columns, position
-    /// arena, page tables — content bytes, identical across build paths.
+    /// Heap-resident size of the freshly built index: its v4 segment bytes
+    /// plus the decoded page table — content bytes, identical across build
+    /// paths.
     pub index_bytes: usize,
     pub bytes_per_state: f64,
-    /// On-disk size of the same index persisted as a legacy v3 (framed
-    /// JSON) artifact.
-    pub v3_disk_bytes: u64,
-    /// On-disk size persisted as the current v4 compressed segment.
+    /// On-disk size persisted as the v4 compressed segment.
     pub v4_disk_bytes: u64,
     /// `v4_disk_bytes / states` — the number the committed CI ceiling
     /// ([`V4_BYTES_PER_STATE_CEILING`]) gates.
     pub v4_bytes_per_state: f64,
-    /// `v3_disk_bytes / v4_disk_bytes` (> 1 means v4 is smaller).
-    pub v4_compression_vs_v3: f64,
-    /// Cold start, v3: open + full JSON deserialize + first workload query.
-    pub cold_start_v3_micros: f64,
-    /// Cold start, v4: open + mmap + first workload query (postings decode
-    /// lazily, so this is near-constant in corpus size).
+    /// Cold start: open + mmap + first workload query (postings decode
+    /// lazily, so this grows only with the dictionary and page table).
     pub cold_start_v4_micros: f64,
-    /// `cold_start_v3_micros / cold_start_v4_micros` (> 1: v4 faster).
-    pub cold_start_speedup: f64,
     /// Sequential single-threaded build, best of [`BUILD_REPS`].
     pub build_ms: f64,
     pub build_states_per_sec: f64,
@@ -142,24 +133,20 @@ fn percentile(samples: &mut [f64], q: f64) -> f64 {
     samples[idx]
 }
 
-/// Cold-start probe: persist `index` in both on-disk formats, then time
-/// open → first workload query for each. Before timing, the mmap-loaded v4
-/// index is checked **bit-identical** to the in-memory build over the whole
-/// workload (which the equivalence suite pins to the frozen reference
-/// oracle). Returns `(v3_disk, v4_disk, v3_micros, v4_micros)`.
+/// Cold-start probe: persist `index`, then time open → first workload
+/// query. Before timing, the mmap-loaded index is checked
+/// **bit-identical** to the in-memory build over the whole workload (which
+/// the equivalence suite pins to the frozen reference oracle). Returns
+/// `(disk_bytes, micros)`.
 fn measure_cold_start(
     site: &str,
     index: &InvertedIndex,
     queries: &[Query],
     weights: &RankWeights,
-) -> (u64, u64, f64, f64) {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let v3_path = dir.join(format!("ajax-bench-{pid}-{site}.v3.ajx"));
-    let v4_path = dir.join(format!("ajax-bench-{pid}-{site}.v4.ajx"));
-    save_index_v3(&v3_path, index).expect("persist v3 artifact");
+) -> (u64, f64) {
+    let v4_path =
+        std::env::temp_dir().join(format!("ajax-bench-{}-{site}.v4.ajx", std::process::id()));
     save_index(&v4_path, index).expect("persist v4 artifact");
-    let v3_disk = std::fs::metadata(&v3_path).expect("v3 metadata").len();
     let v4_disk = std::fs::metadata(&v4_path).expect("v4 metadata").len();
 
     let mapped = load_index(&v4_path).expect("load v4 artifact");
@@ -187,25 +174,17 @@ fn measure_cold_start(
 
     let probe = &queries[0];
     let expected = search(index, probe, weights).len();
-    let time_open = |path: &std::path::Path| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..COLD_REPS {
-            let t0 = Instant::now();
-            let loaded = load_index(path).expect("load persisted index");
-            let results = search(&loaded, probe, weights);
-            best = best.min(t0.elapsed().as_secs_f64());
-            // Both backings must answer the probe query identically, or the
-            // two cold-start numbers are not measuring the same work.
-            assert_eq!(results.len(), expected, "cold-start result drift ({site})");
-            std::hint::black_box(results.len());
-        }
-        best * 1e6
-    };
-    let v3_micros = time_open(&v3_path);
-    let v4_micros = time_open(&v4_path);
-    let _ = std::fs::remove_file(&v3_path);
+    let mut best = f64::INFINITY;
+    for _ in 0..COLD_REPS {
+        let t0 = Instant::now();
+        let loaded = load_index(&v4_path).expect("load persisted index");
+        let results = search(&loaded, probe, weights);
+        best = best.min(t0.elapsed().as_secs_f64());
+        assert_eq!(results.len(), expected, "cold-start result drift ({site})");
+        std::hint::black_box(results.len());
+    }
     let _ = std::fs::remove_file(&v4_path);
-    (v3_disk, v4_disk, v3_micros, v4_micros)
+    (v4_disk, best * 1e6)
 }
 
 fn measure_site(site: &str, models: &[AppModel], queries: &[Query]) -> SitePerf {
@@ -255,7 +234,7 @@ fn measure_site(site: &str, models: &[AppModel], queries: &[Query]) -> SitePerf 
 
     let states = index.total_states;
     let bytes = index.approx_bytes();
-    let (v3_disk, v4_disk, cold_v3, cold_v4) = measure_cold_start(site, &index, queries, &weights);
+    let (v4_disk, cold_v4) = measure_cold_start(site, &index, queries, &weights);
     SitePerf {
         site: site.to_string(),
         pages: models.len(),
@@ -263,13 +242,9 @@ fn measure_site(site: &str, models: &[AppModel], queries: &[Query]) -> SitePerf 
         terms: index.term_count(),
         index_bytes: bytes,
         bytes_per_state: bytes as f64 / states.max(1) as f64,
-        v3_disk_bytes: v3_disk,
         v4_disk_bytes: v4_disk,
         v4_bytes_per_state: v4_disk as f64 / states.max(1) as f64,
-        v4_compression_vs_v3: v3_disk as f64 / (v4_disk as f64).max(1.0),
-        cold_start_v3_micros: cold_v3,
         cold_start_v4_micros: cold_v4,
-        cold_start_speedup: cold_v3 / cold_v4.max(1e-9),
         build_ms: build_s * 1e3,
         build_states_per_sec: states as f64 / build_s.max(1e-12),
         parallel_build_ms: parallel_s * 1e3,
@@ -386,10 +361,7 @@ impl IndexPerfData {
             "B/state",
             "v4 KiB",
             "v4 B/st",
-            "v3/v4",
-            "cold v3 µs",
-            "cold v4 µs",
-            "cold x",
+            "cold µs",
             "build ms",
             "states/s",
             "par ms",
@@ -408,10 +380,7 @@ impl IndexPerfData {
                 format!("{:.1}", s.bytes_per_state),
                 format!("{:.1}", s.v4_disk_bytes as f64 / 1024.0),
                 format!("{:.1}", s.v4_bytes_per_state),
-                format!("x{:.1}", s.v4_compression_vs_v3),
-                format!("{:.0}", s.cold_start_v3_micros),
                 format!("{:.0}", s.cold_start_v4_micros),
-                format!("x{:.1}", s.cold_start_speedup),
                 format!("{:.2}", s.build_ms),
                 format!("{:.0}", s.build_states_per_sec),
                 format!("{:.2}", s.parallel_build_ms),
@@ -426,13 +395,8 @@ impl IndexPerfData {
             .iter()
             .map(|s| {
                 format!(
-                    "cold start ({}): v4 mmap {:.0} µs vs v3 deserialize {:.0} µs (x{:.1}); \
-                     on disk v4 packs x{:.1} tighter than v3\n",
-                    s.site,
-                    s.cold_start_v4_micros,
-                    s.cold_start_v3_micros,
-                    s.cold_start_speedup,
-                    s.v4_compression_vs_v3,
+                    "cold start ({}): open + mmap + first query {:.0} µs; {:.1} B/state on disk\n",
+                    s.site, s.cold_start_v4_micros, s.v4_bytes_per_state,
                 )
             })
             .collect();
@@ -476,13 +440,10 @@ mod tests {
             assert!(s.query_p95_micros >= s.query_p50_micros);
             // 6 pages is far below the min-states threshold.
             assert_eq!(s.build_path, "serial");
-            // On-disk + cold-start columns: the v4 segment must exist, be
-            // smaller than the v3 JSON, and open in measurable time.
+            // On-disk + cold-start columns: the v4 segment must exist and
+            // open in measurable time.
             assert!(s.v4_disk_bytes > 0);
-            assert!(s.v4_disk_bytes < s.v3_disk_bytes);
             assert!(s.v4_bytes_per_state > 0.0);
-            assert!(s.v4_compression_vs_v3 > 1.0);
-            assert!(s.cold_start_v3_micros > 0.0);
             assert!(s.cold_start_v4_micros > 0.0);
         }
         assert!(data.kernel.speedup > 0.0);

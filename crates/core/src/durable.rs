@@ -300,6 +300,18 @@ pub struct MappedFrame {
 }
 
 impl MappedFrame {
+    /// A heap-backed frame over payload bytes already in memory — how a
+    /// freshly built artifact is served before it is ever written out.
+    pub fn from_payload(magic: &str, version: u64, payload: Vec<u8>) -> MappedFrame {
+        let len = payload.len();
+        MappedFrame {
+            buf: crate::mapfile::MappedFile::from_bytes(payload),
+            magic: magic.to_string(),
+            version,
+            payload: 0..len,
+        }
+    }
+
     /// The validated payload bytes, borrowed from the mapping.
     pub fn payload(&self) -> &[u8] {
         &self.buf[self.payload.clone()]

@@ -827,8 +827,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
 /// `ajax-search fsck FILE|DIR` — validate persisted artifacts (indexes,
 /// model files, checkpoint journals) without loading them into an engine.
-/// Reports, per file: OK, legacy (readable but pre-frame, no checksum),
-/// repairable damage (a stale `.tmp` from an interrupted commit, or a torn
+/// Reports, per file: OK, repairable damage (a stale `.tmp` from an interrupted commit, or a torn
 /// checkpoint superseded by a valid older snapshot), or fatal damage.
 /// Exits nonzero only on fatal damage.
 fn cmd_fsck(args: &[String]) -> Result<(), String> {
@@ -868,7 +867,7 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
         .filter(|p| matches!(durable::inspect(p), Ok(Inspection::Ok { .. })))
         .count();
 
-    let (mut ok, mut legacy, mut repairable, mut fatal) = (0u32, 0u32, 0u32, 0u32);
+    let (mut ok, mut repairable, mut fatal) = (0u32, 0u32, 0u32);
     for path in &files {
         let name = path.display();
         if path.extension().is_some_and(|e| e == "tmp") {
@@ -883,34 +882,20 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
                 payload_len,
             }) => {
                 // Frame-valid index files are further classified by format
-                // version: only the current v4 segment is fully OK; a v3
-                // (JSON) frame is readable but previous-generation; any
-                // other version is unreadable by this build.
+                // version: only the v4 segment is readable by this build.
                 if magic == ajax_index::INDEX_MAGIC {
-                    match version {
-                        ajax_index::INDEX_FORMAT_VERSION => {
-                            println!(
-                                "OK         {name}: {magic} v{version} (mmap-able segment), \
-                                 {payload_len} payload bytes, checksum verified"
-                            );
-                            ok += 1;
-                        }
-                        ajax_index::INDEX_V3_VERSION => {
-                            println!(
-                                "LEGACY     {name}: {magic} v{version} (JSON) — still \
-                                 loadable; rewrite with the current build for the \
-                                 compressed mmap-able v4 segment"
-                            );
-                            legacy += 1;
-                        }
-                        other => {
-                            println!(
-                                "FATAL      {name}: {magic} v{other} is not readable by \
-                                 this build (reads v4 and v3) — rebuild with \
-                                 `ajax-search build`"
-                            );
-                            fatal += 1;
-                        }
+                    if version == ajax_index::INDEX_FORMAT_VERSION {
+                        println!(
+                            "OK         {name}: {magic} v{version} (mmap-able segment), \
+                             {payload_len} payload bytes, checksum verified"
+                        );
+                        ok += 1;
+                    } else {
+                        println!(
+                            "FATAL      {name}: {magic} v{version} is not readable by \
+                             this build (reads only v4) — rebuild with `ajax-search build`"
+                        );
+                        fatal += 1;
                     }
                 } else {
                     println!("OK         {name}: {magic} v{version}, {payload_len} payload bytes, checksum verified");
@@ -919,10 +904,10 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
             }
             Ok(Inspection::Legacy { bytes }) => {
                 println!(
-                    "LEGACY     {name}: unframed ({bytes} bytes) — readable, but has no \
-                     checksum; rewrite with the current build for crash safety"
+                    "FATAL      {name}: unframed ({bytes} bytes) — a pre-frame artifact \
+                     this build cannot read; rebuild with `ajax-search build`"
                 );
-                legacy += 1;
+                fatal += 1;
             }
             Err(e) => {
                 if is_checkpoint(path) && valid_checkpoints > 0 {
@@ -939,7 +924,7 @@ fn cmd_fsck(args: &[String]) -> Result<(), String> {
         }
     }
     println!(
-        "{} files: {ok} ok, {legacy} legacy, {repairable} repairable, {fatal} fatal",
+        "{} files: {ok} ok, {repairable} repairable, {fatal} fatal",
         files.len()
     );
     if fatal > 0 {

@@ -1,338 +1,384 @@
 //! The term dictionary: interns terms to dense [`TermId`]s.
 //!
 //! Terms are stored **sorted lexicographically**; the `TermId` of a term is
-//! its rank in that order. The dictionary has two representations:
-//!
-//! * **Owned** — one `Vec<String>` plus a small open-addressing hash table
-//!   of `TermId`s, so a lookup is one hash and a handful of probes, each a
-//!   single `&str` comparison against the sorted term column. This is what
-//!   builders and merges produce.
-//! * **Mapped** — a front-coded byte block inside an mmap-ed v4 segment
-//!   (`segment::MappedDict`). Lookups binary-search the block heads and scan
-//!   one front-coded block against the mapped bytes; no `Vec<String>` is
-//!   ever materialized. [`TermDict::decode_term`] reconstructs individual
-//!   terms on demand into a caller buffer.
+//! its rank in that order. The dictionary is the front-coded byte block of
+//! the index's v4 segment (sections S2/S3, see `segment.rs`): terms in
+//! blocks of [`DICT_BLOCK`], each block head stored whole, followers as
+//! `varint lcp + varint suffix_len + suffix`. Lookups binary-search the
+//! block heads and scan one block against the segment bytes;
+//! [`TermDict::decode_term`] reconstructs individual terms on demand into a
+//! caller buffer. No `Vec<String>` is ever built.
 //!
 //! Keeping the dictionary sorted makes the whole index layout *canonical*:
-//! two indexes over the same logical content are structurally equal (same
-//! columns, same arena order) regardless of build order — the property the
-//! determinism contract of `docs/index-internals.md` rests on.
+//! two indexes over the same logical content encode to the same bytes
+//! regardless of build order — the property the determinism contract of
+//! `docs/index-internals.md` rests on.
 
-use crate::segment::MappedDict;
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::hash::{Hash, Hasher};
+use crate::segment::{read_varint, u32_at, write_varint};
+use ajax_crawl::durable::MappedFrame;
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Dense identifier of a term: its rank in the sorted dictionary.
 pub type TermId = u32;
 
-/// Sorted term dictionary — owned (hash-indexed) or mapped (front-coded).
-#[derive(Debug, Clone)]
-pub struct TermDict {
-    repr: DictRepr,
+/// Terms per front-coded dictionary block.
+pub(crate) const DICT_BLOCK: usize = 16;
+
+pub(crate) fn lcp(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
-#[derive(Debug, Clone)]
-enum DictRepr {
-    Owned {
-        /// Sorted term column; `TermId` = index.
-        terms: Vec<String>,
-        /// Open-addressing table of `TermId + 1` (0 = empty slot). Always a
-        /// power of two, ≥ 2× the term count. Rebuilt on deserialize — never
-        /// persisted.
-        buckets: Vec<u32>,
-    },
-    Mapped(MappedDict),
+/// Front-codes a sorted, deduplicated term sequence into the S2 block table
+/// (little-endian `u32` start of each block, then the end sentinel) and the
+/// S3 data bytes.
+#[derive(Debug, Default)]
+pub(crate) struct DictWriter {
+    pub(crate) block_offsets: Vec<u8>,
+    pub(crate) data: Vec<u8>,
+    prev: Vec<u8>,
+    n_terms: usize,
 }
 
-impl Default for TermDict {
-    fn default() -> Self {
-        Self {
-            repr: DictRepr::Owned {
-                terms: Vec::new(),
-                buckets: Vec::new(),
-            },
+impl DictWriter {
+    /// Appends the next term; it must sort strictly after the previous one.
+    /// Offsets are narrowed to `u32` here and validated once at the end
+    /// (the segment writer's `dict_data` limit check).
+    pub(crate) fn push(&mut self, term: &[u8]) {
+        debug_assert!(
+            self.n_terms == 0 || self.prev.as_slice() < term,
+            "dictionary terms must be sorted and unique"
+        );
+        if self.n_terms.is_multiple_of(DICT_BLOCK) {
+            self.block_offsets
+                .extend_from_slice(&(self.data.len() as u32).to_le_bytes());
+            write_varint(&mut self.data, term.len() as u64);
+            self.data.extend_from_slice(term);
+        } else {
+            let l = lcp(&self.prev, term);
+            write_varint(&mut self.data, l as u64);
+            write_varint(&mut self.data, (term.len() - l) as u64);
+            self.data.extend_from_slice(&term[l..]);
         }
+        self.prev.clear();
+        self.prev.extend_from_slice(term);
+        self.n_terms += 1;
+    }
+
+    /// Appends the block table's end sentinel.
+    pub(crate) fn finish(&mut self) {
+        self.block_offsets
+            .extend_from_slice(&(self.data.len() as u32).to_le_bytes());
+    }
+}
+
+/// The sorted, front-coded term dictionary of one segment. Cloning is one
+/// `Arc` bump.
+#[derive(Clone)]
+pub struct TermDict {
+    frame: Arc<MappedFrame>,
+    block_offsets: Range<usize>,
+    data: Range<usize>,
+    n_terms: usize,
+    block: usize,
+}
+
+impl fmt::Debug for TermDict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TermDict")
+            .field("terms", &self.n_terms)
+            .finish()
     }
 }
 
 impl TermDict {
-    /// Builds a dictionary from a **sorted, deduplicated** term column.
-    pub fn from_sorted(terms: Vec<String>) -> Self {
-        debug_assert!(
-            terms.windows(2).all(|w| w[0] < w[1]),
-            "dictionary terms must be sorted and unique"
-        );
-        let buckets = build_buckets(&terms);
+    /// Wraps the S2/S3 sections of a segment whose structure the caller
+    /// has validated (the segment writer or `segment::open`).
+    pub(crate) fn new(
+        frame: Arc<MappedFrame>,
+        block_offsets: Range<usize>,
+        data: Range<usize>,
+        n_terms: usize,
+        block: usize,
+    ) -> Self {
         Self {
-            repr: DictRepr::Owned { terms, buckets },
+            frame,
+            block_offsets,
+            data,
+            n_terms,
+            block,
         }
     }
 
-    /// Wraps a mapped v4 segment dictionary (already validated at open).
-    pub(crate) fn from_mapped(mapped: MappedDict) -> Self {
-        Self {
-            repr: DictRepr::Mapped(mapped),
-        }
+    fn data_slice(&self) -> &[u8] {
+        &self.frame.payload()[self.data.clone()]
+    }
+
+    fn block_offsets_slice(&self) -> &[u8] {
+        &self.frame.payload()[self.block_offsets.clone()]
     }
 
     /// Number of distinct terms.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            DictRepr::Owned { terms, .. } => terms.len(),
-            DictRepr::Mapped(m) => m.len(),
-        }
+        self.n_terms
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.n_terms == 0
     }
 
-    /// True when the terms live in a mapped segment rather than on the heap.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.repr, DictRepr::Mapped(_))
-    }
-
-    /// The term with the given id. Owned dictionaries only — mapped terms
-    /// have no resident string to borrow; use [`TermDict::decode_term`].
-    pub fn term(&self, id: TermId) -> &str {
-        match &self.repr {
-            DictRepr::Owned { terms, .. } => &terms[id as usize],
-            DictRepr::Mapped(_) => {
-                panic!("TermDict::term on a mapped dictionary; use decode_term")
-            }
-        }
-    }
-
-    /// The sorted term column. Owned dictionaries only.
-    pub fn terms(&self) -> &[String] {
-        match &self.repr {
-            DictRepr::Owned { terms, .. } => terms,
-            DictRepr::Mapped(_) => {
-                panic!("TermDict::terms on a mapped dictionary; decode terms individually")
-            }
-        }
-    }
-
-    /// Decodes the term with the given id into `buf` and returns it. Works
-    /// on both representations; the owned path copies so callers can treat
-    /// the buffer uniformly.
-    pub fn decode_term<'b>(&self, id: TermId, buf: &'b mut Vec<u8>) -> &'b str {
-        match &self.repr {
-            DictRepr::Owned { terms, .. } => {
-                buf.clear();
-                buf.extend_from_slice(terms[id as usize].as_bytes());
-                std::str::from_utf8(buf).expect("owned terms are UTF-8")
-            }
-            DictRepr::Mapped(m) => m.decode_term(id, buf),
-        }
-    }
-
-    /// Looks a term up. Owned: hash probe into the bucket table. Mapped:
-    /// block binary search over the front-coded bytes. O(1) expected /
-    /// O(log blocks + block) respectively, no allocation either way.
+    /// Hash-free lookup against the segment bytes: binary search over block
+    /// heads, then a front-coded scan tracking `m = lcp(query, previous)`.
+    /// Each follower entry is classified from its stored lcp alone —
+    /// `lcp < m` proves the entry already sorts after the query (stop),
+    /// `lcp > m` proves it still sorts before (skip without touching its
+    /// bytes), and only `lcp == m` compares suffix bytes. O(log blocks +
+    /// block), no allocation.
     pub fn lookup(&self, term: &str) -> Option<TermId> {
-        match &self.repr {
-            DictRepr::Owned { terms, buckets } => {
-                if buckets.is_empty() {
-                    return None;
-                }
-                let mask = buckets.len() - 1;
-                let mut slot = (hash_term(term) as usize) & mask;
-                loop {
-                    match buckets[slot] {
-                        0 => return None,
-                        id_plus_one => {
-                            let id = id_plus_one - 1;
-                            if terms[id as usize] == term {
-                                return Some(id);
-                            }
-                        }
-                    }
-                    slot = (slot + 1) & mask;
-                }
-            }
-            DictRepr::Mapped(m) => m.lookup(term),
+        if self.n_terms == 0 {
+            return None;
         }
-    }
+        let q = term.as_bytes();
+        let data = self.data_slice();
+        let table = self.block_offsets_slice();
+        // The head term of block `b` — stored whole, directly sliceable.
+        let head_of = |b: usize| {
+            let mut cur = u32_at(table, b) as usize;
+            let len = read_varint(data, &mut cur) as usize;
+            &data[cur..cur + len]
+        };
 
-    /// Materializes an owned dictionary (decodes every term if mapped).
-    pub fn into_owned(self) -> TermDict {
-        match self.repr {
-            DictRepr::Owned { .. } => self,
-            DictRepr::Mapped(m) => {
-                let mut terms = Vec::with_capacity(m.len());
-                let mut buf = Vec::new();
-                for id in 0..m.len() as TermId {
-                    terms.push(m.decode_term(id, &mut buf).to_string());
-                }
-                TermDict::from_sorted(terms)
+        // Last block whose head is <= q.
+        let mut lo = 0usize;
+        let mut hi = self.n_terms.div_ceil(self.block);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if head_of(mid) <= q {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-    }
+        if lo == 0 {
+            return None; // query sorts before the first term
+        }
+        let b = lo - 1;
 
-    /// Resident heap footprint in bytes, **content-derived**: string headers
-    /// + string byte lengths + the bucket table. Capacity padding is
-    ///   excluded so structurally equal dictionaries report identical sizes
-    ///   regardless of how they were built. A mapped dictionary holds no term
-    ///   bytes on the heap and reports 0.
-    pub fn approx_bytes(&self) -> usize {
-        match &self.repr {
-            DictRepr::Owned { terms, buckets } => {
-                terms.len() * std::mem::size_of::<String>()
-                    + terms.iter().map(String::len).sum::<usize>()
-                    + buckets.len() * std::mem::size_of::<u32>()
+        let mut cur = u32_at(table, b) as usize;
+        let head_len = read_varint(data, &mut cur) as usize;
+        let head = &data[cur..cur + head_len];
+        cur += head_len;
+        if head == q {
+            return Some((b * self.block) as TermId);
+        }
+        // Invariant below: the previously decoded term sorts before q and
+        // shares exactly `m` leading bytes with it.
+        let mut m = lcp(q, head);
+        let in_block = (self.n_terms - b * self.block).min(self.block);
+        for j in 1..in_block {
+            let l = read_varint(data, &mut cur) as usize;
+            let slen = read_varint(data, &mut cur) as usize;
+            let suffix = &data[cur..cur + slen];
+            cur += slen;
+            if l < m {
+                // entry diverges from its predecessor before `m`: its first
+                // suffix byte exceeds q[l] (sorted order), so entry > q.
+                return None;
             }
-            DictRepr::Mapped(_) => 0,
-        }
-    }
-}
-
-/// Equality is content equality: the bucket table is derived, and a mapped
-/// dictionary equals an owned one over the same sorted terms.
-impl PartialEq for TermDict {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.repr, &other.repr) {
-            (DictRepr::Owned { terms: a, .. }, DictRepr::Owned { terms: b, .. }) => a == b,
-            _ => {
-                if self.len() != other.len() {
-                    return false;
-                }
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                (0..self.len() as TermId).all(|id| {
-                    self.decode_term(id, &mut a);
-                    other.decode_term(id, &mut b);
-                    a == b
-                })
+            if l > m {
+                // entry[..m+1] == predecessor[..m+1] < q[..m+1]: entry < q.
+                continue;
+            }
+            let rest = &q[m..];
+            if suffix == rest {
+                return Some((b * self.block + j) as TermId);
+            }
+            if suffix < rest {
+                m += lcp(suffix, rest);
+            } else {
+                return None;
             }
         }
+        None
     }
-}
 
-impl Serialize for TermDict {
-    fn serialize(&self) -> Value {
-        let mut buf = Vec::new();
-        Value::Array(
-            (0..self.len() as TermId)
-                .map(|id| Value::Str(self.decode_term(id, &mut buf).to_string()))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for TermDict {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        let terms = Vec::<String>::deserialize(value)?;
-        if !terms.windows(2).all(|w| w[0] < w[1]) {
-            return Err(DeError::new(
-                "term dictionary not sorted/deduplicated".to_string(),
-            ));
+    /// Decodes term `id` into `buf`, returning it as `&str`. The scratch is
+    /// a byte buffer (not `String`) because front-coded truncation points
+    /// may split UTF-8 sequences mid-reconstruction.
+    pub fn decode_term<'b>(&self, id: TermId, buf: &'b mut Vec<u8>) -> &'b str {
+        let id = id as usize;
+        let b = id / self.block;
+        let data = self.data_slice();
+        let mut cur = u32_at(self.block_offsets_slice(), b) as usize;
+        let len = read_varint(data, &mut cur) as usize;
+        buf.clear();
+        buf.extend_from_slice(&data[cur..cur + len]);
+        cur += len;
+        for _ in 0..(id - b * self.block) {
+            let l = read_varint(data, &mut cur) as usize;
+            let slen = read_varint(data, &mut cur) as usize;
+            buf.truncate(l);
+            buf.extend_from_slice(&data[cur..cur + slen]);
+            cur += slen;
         }
-        Ok(Self::from_sorted(terms))
+        std::str::from_utf8(buf).expect("segment terms are valid UTF-8 (checked at open)")
+    }
+
+    /// A sequential decoder positioned on term 0.
+    pub(crate) fn cursor(&self) -> TermCursor<'_> {
+        let mut c = TermCursor {
+            data: self.data_slice(),
+            cur: 0,
+            id: 0,
+            n_terms: self.n_terms,
+            block: self.block,
+            term: Vec::new(),
+        };
+        c.decode();
+        c
     }
 }
 
-fn build_buckets(terms: &[String]) -> Vec<u32> {
-    if terms.is_empty() {
-        return Vec::new();
+/// Walks a dictionary in `TermId` order, one front-coded entry per step —
+/// the segment merge's dictionary join. Blocks are stored back to back, so
+/// the walk never consults the block table.
+pub(crate) struct TermCursor<'a> {
+    data: &'a [u8],
+    cur: usize,
+    id: usize,
+    n_terms: usize,
+    block: usize,
+    term: Vec<u8>,
+}
+
+impl TermCursor<'_> {
+    /// The current term's id.
+    pub(crate) fn id(&self) -> TermId {
+        self.id as TermId
     }
-    let cap = (terms.len() * 2).next_power_of_two();
-    let mut buckets = vec![0u32; cap];
-    let mask = cap - 1;
-    for (id, term) in terms.iter().enumerate() {
-        let mut slot = (hash_term(term) as usize) & mask;
-        while buckets[slot] != 0 {
-            slot = (slot + 1) & mask;
+
+    /// The current term, or `None` once every term has been visited.
+    pub(crate) fn term(&self) -> Option<&[u8]> {
+        (self.id < self.n_terms).then_some(self.term.as_slice())
+    }
+
+    pub(crate) fn advance(&mut self) {
+        self.id += 1;
+        self.decode();
+    }
+
+    fn decode(&mut self) {
+        if self.id >= self.n_terms {
+            return;
         }
-        buckets[slot] = id as u32 + 1;
+        let keep = if self.id.is_multiple_of(self.block) {
+            0
+        } else {
+            read_varint(self.data, &mut self.cur) as usize
+        };
+        let len = read_varint(self.data, &mut self.cur) as usize;
+        self.term.truncate(keep);
+        self.term
+            .extend_from_slice(&self.data[self.cur..self.cur + len]);
+        self.cur += len;
     }
-    buckets
-}
-
-fn hash_term(term: &str) -> u64 {
-    // SipHash with the default fixed keys: deterministic across runs.
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    term.hash(&mut h);
-    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::invert::{IndexBuilder, InvertedIndex};
+    use ajax_crawl::model::AppModel;
 
-    fn dict(terms: &[&str]) -> TermDict {
+    /// An index whose single state contains exactly `terms`.
+    fn index_of(terms: &[&str]) -> InvertedIndex {
+        let mut m = AppModel::new("http://x/1");
+        m.add_state(1, terms.join(" "), None);
+        let mut b = IndexBuilder::new();
+        b.add_model(&m, None);
+        b.build()
+    }
+
+    fn sorted(terms: &[&str]) -> Vec<String> {
         let mut v: Vec<String> = terms.iter().map(|t| t.to_string()).collect();
         v.sort();
         v.dedup();
-        TermDict::from_sorted(v)
+        v
     }
 
     #[test]
     fn lookup_finds_every_term() {
-        let d = dict(&["wow", "dance", "morcheeba", "a", "2"]);
+        // More than one block, with shared prefixes inside each.
+        let terms: Vec<String> = (0..40).map(|i| format!("term{i:03}")).collect();
+        let refs: Vec<&str> = terms.iter().map(String::as_str).collect();
+        let idx = index_of(&refs);
+        let d = idx.dict();
+        let mut buf = Vec::new();
         for id in 0..d.len() as u32 {
-            let term = d.term(id).to_string();
+            let term = d.decode_term(id, &mut buf).to_string();
             assert_eq!(d.lookup(&term), Some(id));
         }
         assert_eq!(d.lookup("absent"), None);
         assert_eq!(d.lookup(""), None);
+        assert_eq!(d.lookup("term0395"), None);
+        assert_eq!(d.lookup("zzz"), None);
     }
 
     #[test]
     fn ids_are_sorted_ranks() {
-        let d = dict(&["charlie", "alpha", "bravo"]);
-        assert_eq!(d.term(0), "alpha");
-        assert_eq!(d.term(1), "bravo");
-        assert_eq!(d.term(2), "charlie");
+        let idx = index_of(&["charlie", "alpha", "bravo"]);
+        let mut buf = Vec::new();
+        assert_eq!(idx.dict().decode_term(0, &mut buf), "alpha");
+        assert_eq!(idx.dict().decode_term(1, &mut buf), "bravo");
+        assert_eq!(idx.dict().decode_term(2, &mut buf), "charlie");
     }
 
     #[test]
     fn empty_dictionary() {
-        let d = TermDict::default();
+        let d = InvertedIndex::default().dict().clone();
         assert!(d.is_empty());
         assert_eq!(d.lookup("x"), None);
-        assert_eq!(d.approx_bytes(), 0);
+        assert_eq!(d.cursor().term(), None);
     }
 
     #[test]
     fn decode_term_matches_term() {
-        let d = dict(&["zebra", "zeal", "zero"]);
+        let input = ["zebra", "zeal", "zero", "wow", "2", "morcheeba"];
+        let want = sorted(&input);
+        let idx = index_of(&input);
+        let d = idx.dict();
         let mut buf = Vec::new();
-        for id in 0..d.len() as u32 {
-            assert_eq!(d.decode_term(id, &mut buf), d.term(id));
+        for (id, term) in want.iter().enumerate() {
+            assert_eq!(d.decode_term(id as u32, &mut buf), term);
         }
     }
 
     #[test]
-    fn approx_bytes_is_content_derived() {
-        // Same content through different construction paths must agree.
-        let a = dict(&["alpha", "bravo", "charlie"]);
-        let mut v: Vec<String> = ["charlie", "alpha", "bravo"]
-            .iter()
-            .map(|t| {
-                let mut s = String::with_capacity(64); // deliberate over-allocation
-                s.push_str(t);
-                s
-            })
-            .collect();
-        v.sort();
-        let b = TermDict::from_sorted(v);
-        assert_eq!(a, b);
-        assert_eq!(a.approx_bytes(), b.approx_bytes());
+    fn cursor_walks_terms_in_id_order() {
+        let terms: Vec<String> = (0..37).map(|i| format!("w{}", i * 7)).collect();
+        let refs: Vec<&str> = terms.iter().map(String::as_str).collect();
+        let want = sorted(&refs);
+        let idx = index_of(&refs);
+        let mut c = idx.dict().cursor();
+        let mut got = Vec::new();
+        while let Some(t) = c.term() {
+            assert_eq!(c.id() as usize, got.len());
+            got.push(String::from_utf8(t.to_vec()).unwrap());
+            c.advance();
+        }
+        assert_eq!(got, want);
     }
 
     #[test]
-    fn serde_roundtrip_rebuilds_lookup() {
-        let d = dict(&["x", "y", "zebra"]);
-        let v = d.serialize();
-        let back = TermDict::deserialize(&v).unwrap();
-        assert_eq!(d, back);
-        assert_eq!(back.lookup("zebra"), Some(2));
-    }
-
-    #[test]
-    fn deserialize_rejects_unsorted() {
-        let v = Value::Array(vec![Value::Str("b".into()), Value::Str("a".into())]);
-        assert!(TermDict::deserialize(&v).is_err());
+    fn dictionary_bytes_are_content_derived() {
+        // Same terms in a different order and with repeats: the front-coded
+        // dictionary is the same.
+        let a = index_of(&["alpha", "bravo", "charlie"]);
+        let b = index_of(&["charlie", "alpha", "bravo", "alpha"]);
+        assert_eq!(a.dict().data_slice(), b.dict().data_slice());
+        assert_eq!(
+            a.dict().block_offsets_slice(),
+            b.dict().block_offsets_slice()
+        );
     }
 }

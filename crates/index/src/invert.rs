@@ -1,5 +1,4 @@
-//! The enhanced inverted file (thesis §5.2, Table 5.1) in compact columnar
-//! form.
+//! The enhanced inverted file (thesis §5.2, Table 5.1).
 //!
 //! Every **state** of every crawled page is an indexable document; a posting
 //! therefore carries `(page, state, tf, positions)`. The index also stores
@@ -7,41 +6,29 @@
 //! AJAXRank (PageRank over the page's transition graph) and per-state token
 //! counts for the thesis' normalized term frequency (formula 5.1).
 //!
-//! ## Layout
+//! ## One representation
 //!
-//! Instead of `BTreeMap<String, Vec<Posting>>` with one heap `Vec<u32>` per
-//! posting, the index is four parallel columns plus two arenas:
-//!
-//! ```text
-//! dict:         sorted term strings, TermId = rank        (dict.rs)
-//! term_offsets: TermId → [start, end) into the columns    (len = terms + 1)
-//! docs:         DocKey per posting    ─┐ one contiguous
-//! counts:       occurrences per posting│ run per term,
-//! pos_offsets:  offset into positions ─┘ doc-sorted
-//! positions:    shared u32 arena; posting i owns
-//!               positions[pos_offsets[i] .. pos_offsets[i] + counts[i]]
-//! ```
-//!
-//! Since format v4 the columns have two backings: **owned** (the `Vec`s
-//! above — what builders and merges produce) and **mapped** (compressed
-//! byte sections of an mmap-ed segment, `segment.rs`). A mapped index
-//! decodes a term's doc/count run on demand into a caller-owned
+//! An [`InvertedIndex`] is a v4 segment (`segment.rs`) and nothing else:
+//! the front-coded dictionary, one delta+varint posting run per term, a
+//! per-posting position stream, and the page table — all read in place from
+//! one byte buffer. [`IndexBuilder`] and the segment merge write those bytes
+//! directly; `load_index` maps them from disk; `save_index` writes them
+//! unchanged. A query decodes a term's doc/count run into a caller-owned
 //! [`TermScratch`] (`postings_in`), and positions are decoded only inside
 //! the proximity scan ([`PostingList::for_each_position`]).
 //!
-//! The layout is **canonical**: terms sorted, each term's run doc-sorted,
-//! and the position arena written in exactly that iteration order. Two
-//! indexes over the same logical content are therefore structurally equal
-//! (`PartialEq`) no matter how they were built, merged or persisted — the
-//! foundation of the determinism contract (see `docs/index-internals.md`).
+//! The encoding is **canonical**: terms sorted, each term's run doc-sorted,
+//! positions first-absolute per posting. Two indexes over the same logical
+//! content are therefore byte-identical (`PartialEq` compares the payload)
+//! no matter how they were built, merged or persisted — the foundation of
+//! the determinism contract (see `docs/index-internals.md`).
 
 use crate::dict::{TermDict, TermId};
-use crate::segment::{self, MappedPostings};
+use crate::segment::{self, Segment, SegmentWriter};
 use crate::tokenize::for_each_token;
 use ajax_crawl::model::{AppModel, StateId};
 use ajax_crawl::pagerank::pagerank_default;
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::borrow::Cow;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -59,8 +46,8 @@ pub struct DocKey {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexBuildError {
     OffsetOverflow {
-        /// Which column overflowed (`"postings"`, `"positions"`, `"pages"`,
-        /// or a v4 stream name).
+        /// Which column overflowed (`"postings"`, `"pages"`, or a v4 stream
+        /// name).
         column: &'static str,
         /// The size that did not fit.
         len: u64,
@@ -86,7 +73,11 @@ impl std::error::Error for IndexBuildError {}
 /// The production offset limit: every offset column is `u32`.
 const U32_LIMIT: u64 = u32::MAX as u64;
 
-fn check_fits(column: &'static str, len: u64, limit: u64) -> Result<(), IndexBuildError> {
+pub(crate) fn check_fits(
+    column: &'static str,
+    len: u64,
+    limit: u64,
+) -> Result<(), IndexBuildError> {
     if len > limit {
         Err(IndexBuildError::OffsetOverflow {
             column,
@@ -98,44 +89,18 @@ fn check_fits(column: &'static str, len: u64, limit: u64) -> Result<(), IndexBui
     }
 }
 
-/// A borrowed view of one posting: where a term occurs and how often.
-/// Replaces the old owned `Posting { doc, count, positions: Vec<u32> }` —
-/// the positions now point into the index's shared arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PostingRef<'a> {
-    pub doc: DocKey,
-    /// Raw occurrence count of the term in the state.
-    pub count: u32,
-    /// Token positions of the occurrences (for term proximity).
-    pub positions: &'a [u32],
-}
-
-/// Where a posting list's positions come from.
-#[derive(Debug, Clone, Copy)]
-enum PosSrc<'a> {
-    /// Owned index: absolute offsets into the shared `u32` arena.
-    Arena {
-        pos_offsets: &'a [u32],
-        arena: &'a [u32],
-    },
-    /// Mapped segment: per-posting byte bounds (recovered into scratch
-    /// during the run decode) into the term's slice of the delta+varint
-    /// position stream — position bytes themselves decode lazily, never
-    /// resident.
-    Stream {
-        pos_offs: &'a [u32],
-        stream: &'a [u8],
-    },
-}
-
-/// A borrowed view of one term's posting run: parallel slices over the doc
-/// and count columns (owned columns or a per-query scratch decode), plus a
-/// lazily-decoded position source. `Copy`, allocation-free, doc-sorted.
+/// A borrowed view of one term's posting run: the doc and count columns
+/// decoded into a [`TermScratch`], plus the term's undecoded slice of the
+/// position stream. `Copy`, allocation-free, doc-sorted.
 #[derive(Debug, Clone, Copy)]
 pub struct PostingList<'a> {
     docs: &'a [DocKey],
     counts: &'a [u32],
-    pos: PosSrc<'a>,
+    /// `len + 1` cumulative byte offsets of each posting's positions in
+    /// `positions`.
+    pos_offs: &'a [u32],
+    /// The term's window of the delta+varint position stream.
+    positions: &'a [u8],
 }
 
 impl<'a> PostingList<'a> {
@@ -143,10 +108,8 @@ impl<'a> PostingList<'a> {
     pub const EMPTY: PostingList<'static> = PostingList {
         docs: &[],
         counts: &[],
-        pos: PosSrc::Arena {
-            pos_offsets: &[],
-            arena: &[],
-        },
+        pos_offs: &[],
+        positions: &[],
     };
 
     pub fn len(&self) -> usize {
@@ -170,67 +133,31 @@ impl<'a> PostingList<'a> {
         self.counts[i]
     }
 
-    /// The position slice of posting `i` in the shared arena. Only available
-    /// when the positions are arena-backed (owned index); mapped posting
-    /// lists decode positions lazily — use
-    /// [`PostingList::for_each_position`].
-    pub fn positions(&self, i: usize) -> &'a [u32] {
-        match self.pos {
-            PosSrc::Arena { pos_offsets, arena } => {
-                let off = pos_offsets[i] as usize;
-                &arena[off..off + self.counts[i] as usize]
-            }
-            PosSrc::Stream { .. } => {
-                panic!("PostingList::positions on a mapped segment; use for_each_position")
-            }
-        }
+    /// The encoded positions of posting `i` (first absolute, then deltas).
+    pub(crate) fn position_bytes(&self, i: usize) -> &'a [u8] {
+        &self.positions[self.pos_offs[i] as usize..self.pos_offs[i + 1] as usize]
     }
 
-    /// Visits the positions of posting `i` in ascending order. Works on both
-    /// backings; on a mapped segment this is where the delta+varint stream
-    /// is decoded — the only place position bytes are ever touched.
+    /// Visits the positions of posting `i` in ascending order. This is where
+    /// the delta+varint stream is decoded — the only place position bytes
+    /// are ever touched.
     pub fn for_each_position(&self, i: usize, mut f: impl FnMut(u32)) {
-        match self.pos {
-            PosSrc::Arena { pos_offsets, arena } => {
-                let off = pos_offsets[i] as usize;
-                for &p in &arena[off..off + self.counts[i] as usize] {
-                    f(p);
-                }
-            }
-            PosSrc::Stream { pos_offs, stream } => {
-                let mut cur = pos_offs[i] as usize;
-                let end = pos_offs[i + 1] as usize;
-                let mut pos = 0u32;
-                let mut first = true;
-                while cur < end {
-                    let delta = segment::read_varint(stream, &mut cur) as u32;
-                    pos = if first { delta } else { pos + delta };
-                    first = false;
-                    f(pos);
-                }
-            }
+        let bytes = self.position_bytes(i);
+        let mut cur = 0;
+        let mut pos = 0u32;
+        let mut first = true;
+        while cur < bytes.len() {
+            let delta = segment::read_varint(bytes, &mut cur) as u32;
+            pos = if first { delta } else { pos + delta };
+            first = false;
+            f(pos);
         }
-    }
-
-    /// Borrowed posting view — arena-backed lists only (see
-    /// [`PostingList::positions`]).
-    pub fn get(&self, i: usize) -> PostingRef<'a> {
-        PostingRef {
-            doc: self.docs[i],
-            count: self.counts[i],
-            positions: self.positions(i),
-        }
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = PostingRef<'a>> + '_ {
-        (0..self.len()).map(|i| self.get(i))
     }
 }
 
-/// Reusable decode target for one term's posting run on a mapped index.
-/// Owned indexes ignore it (their columns are borrowed directly); mapped
-/// indexes decode the delta+varint run into these vectors, which grow once
-/// and are reused across queries.
+/// Reusable decode target for one term's posting run: the delta+varint run
+/// is decoded into these vectors, which grow once and are reused across
+/// queries.
 #[derive(Debug, Default)]
 pub struct TermScratch {
     pub(crate) docs: Vec<DocKey>,
@@ -260,63 +187,25 @@ pub struct PageEntry {
     pub state_lengths: Vec<u32>,
 }
 
-/// The owned (resident) posting columns — see the module docs for the
-/// layout.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct OwnedStore {
-    /// `TermId t` owns postings `term_offsets[t] .. term_offsets[t+1]`.
-    pub(crate) term_offsets: Vec<u32>,
-    /// Doc column, one entry per posting, doc-sorted within each term run.
-    pub(crate) docs: Vec<DocKey>,
-    /// Occurrence-count column, parallel to `docs`.
-    pub(crate) counts: Vec<u32>,
-    /// Offset of each posting's position slice in `positions`.
-    pub(crate) pos_offsets: Vec<u32>,
-    /// Shared position arena; posting `i` owns `counts[i]` entries.
-    pub(crate) positions: Vec<u32>,
-}
-
-impl Default for OwnedStore {
-    fn default() -> Self {
-        Self {
-            term_offsets: vec![0],
-            docs: Vec::new(),
-            counts: Vec::new(),
-            pos_offsets: Vec::new(),
-            positions: Vec::new(),
-        }
-    }
-}
-
-/// The posting columns: resident vectors, or byte sections of an mmap-ed v4
-/// segment decoded on demand.
-#[derive(Debug, Clone)]
-pub(crate) enum Store {
-    Owned(OwnedStore),
-    Mapped(MappedPostings),
-}
-
-/// The inverted file (columnar; see module docs for the layout).
+/// The inverted file: one v4 segment (see module docs) plus its decoded
+/// page table.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
-    /// Sorted, interned term dictionary.
+    /// Sorted, front-coded term dictionary (segment S2/S3).
     pub(crate) dict: TermDict,
-    /// The posting columns (owned or mapped).
-    pub(crate) store: Store,
-    /// Indexed pages.
+    /// The posting sections and the payload they live in.
+    pub(crate) seg: Segment,
+    /// Indexed pages, decoded from S7 (the segment bytes stay the source of
+    /// truth for equality and `save_index`).
     pub pages: Vec<PageEntry>,
     /// Total number of indexed states (the `|D|` of formula 5.2).
     pub total_states: u64,
 }
 
+/// The empty index (zero terms, zero pages).
 impl Default for InvertedIndex {
     fn default() -> Self {
-        Self {
-            dict: TermDict::default(),
-            store: Store::Owned(OwnedStore::default()),
-            pages: Vec::new(),
-            total_states: 0,
-        }
+        IndexBuilder::new().build()
     }
 }
 
@@ -336,144 +225,69 @@ impl InvertedIndex {
         self.dict.lookup(term)
     }
 
-    /// True when the posting columns live in an mmap-ed segment.
+    /// True when the segment is an mmap of a saved file rather than heap
+    /// bytes (a fresh build, or a platform where mapping failed).
     pub fn is_mapped(&self) -> bool {
-        matches!(self.store, Store::Mapped(_))
+        self.seg.is_mapped()
     }
 
-    /// Assembles a mapped index from an opened v4 segment.
-    pub(crate) fn from_mapped(
-        dict: crate::segment::MappedDict,
-        postings: MappedPostings,
-        pages: Vec<PageEntry>,
-        total_states: u64,
-    ) -> Self {
-        Self {
-            dict: TermDict::from_mapped(dict),
-            store: Store::Mapped(postings),
-            pages,
-            total_states,
-        }
+    /// The canonical v4 payload — what `save_index` writes.
+    pub(crate) fn payload(&self) -> &[u8] {
+        self.seg.payload()
     }
 
-    /// The owned columns — borrowed in place for an owned index, fully
-    /// decoded for a mapped one (merge, v3 re-save, equality).
-    pub(crate) fn owned_store(&self) -> Cow<'_, OwnedStore> {
-        match &self.store {
-            Store::Owned(s) => Cow::Borrowed(s),
-            Store::Mapped(m) => Cow::Owned(m.materialize()),
-        }
-    }
-
-    /// The owned columns of an index known to be resident (post
-    /// [`InvertedIndex::into_owned`]).
-    fn store_owned(&self) -> &OwnedStore {
-        match &self.store {
-            Store::Owned(s) => s,
-            Store::Mapped(_) => unreachable!("caller materialized the index first"),
-        }
-    }
-
-    /// Converts into a fully resident index: decodes the mapped columns and
-    /// dictionary if necessary, no-op otherwise.
-    pub fn into_owned(self) -> InvertedIndex {
-        let InvertedIndex {
-            dict,
-            store,
-            pages,
-            total_states,
-        } = self;
-        let store = match store {
-            Store::Owned(s) => Store::Owned(s),
-            Store::Mapped(m) => Store::Owned(m.materialize()),
-        };
-        InvertedIndex {
-            dict: dict.into_owned(),
-            store,
-            pages,
-            total_states,
-        }
-    }
-
-    /// Length of term `id`'s posting run — O(1) on both backings (the v4
-    /// `term_offsets` column is fixed-width and addressable in place).
+    /// Length of term `id`'s posting run — O(1) (the `term_offsets` column
+    /// is fixed-width and addressable in place).
     pub fn run_len(&self, id: TermId) -> usize {
-        match &self.store {
-            Store::Owned(s) => {
-                (s.term_offsets[id as usize + 1] - s.term_offsets[id as usize]) as usize
-            }
-            Store::Mapped(m) => m.run_len(id),
-        }
+        self.seg.run_len(id)
     }
 
-    /// The posting run of a known `TermId`, borrowed from the owned columns.
-    /// Mapped indexes need a decode scratch — use
-    /// [`InvertedIndex::postings_by_id_in`].
-    pub fn postings_by_id(&self, id: TermId) -> PostingList<'_> {
-        match &self.store {
-            Store::Owned(s) => {
-                let start = s.term_offsets[id as usize] as usize;
-                let end = s.term_offsets[id as usize + 1] as usize;
-                PostingList {
-                    docs: &s.docs[start..end],
-                    counts: &s.counts[start..end],
-                    pos: PosSrc::Arena {
-                        pos_offsets: &s.pos_offsets[start..end],
-                        arena: &s.positions,
-                    },
-                }
-            }
-            Store::Mapped(_) => {
-                panic!("postings_by_id on a mapped segment; use postings_by_id_in with a scratch")
-            }
-        }
-    }
-
-    /// The posting list of `term` (empty if absent). Owned indexes only —
-    /// see [`InvertedIndex::postings_in`].
-    pub fn postings(&self, term: &str) -> PostingList<'_> {
-        match self.dict.lookup(term) {
-            Some(id) => self.postings_by_id(id),
-            None => PostingList::EMPTY,
-        }
-    }
-
-    /// The posting run of a known `TermId` on either backing: owned columns
-    /// are borrowed in place (the scratch is untouched); mapped runs are
-    /// delta+varint-decoded into `scratch` and borrowed from there.
-    /// Positions stay undecoded in both cases until `for_each_position`.
+    /// The posting run of a known `TermId`, delta+varint-decoded into
+    /// `scratch` and borrowed from there. Positions stay undecoded until
+    /// `for_each_position`.
     pub fn postings_by_id_in<'s>(
         &'s self,
         id: TermId,
         scratch: &'s mut TermScratch,
     ) -> PostingList<'s> {
-        match &self.store {
-            Store::Owned(_) => self.postings_by_id(id),
-            Store::Mapped(m) => {
-                m.decode_docs_counts(
-                    id,
-                    &mut scratch.docs,
-                    &mut scratch.counts,
-                    &mut scratch.pos_offs,
-                );
-                PostingList {
-                    docs: &scratch.docs,
-                    counts: &scratch.counts,
-                    pos: PosSrc::Stream {
-                        pos_offs: &scratch.pos_offs,
-                        stream: m.term_pos_window(id),
-                    },
-                }
-            }
+        self.seg.decode_run(id, scratch);
+        PostingList {
+            docs: &scratch.docs,
+            counts: &scratch.counts,
+            pos_offs: &scratch.pos_offs,
+            positions: self.seg.term_pos_window(id),
         }
     }
 
-    /// The posting list of `term` on either backing (empty if absent).
+    /// The posting list of `term` (empty if absent).
     pub fn postings_in<'s>(&'s self, term: &str, scratch: &'s mut TermScratch) -> PostingList<'s> {
         match self.dict.lookup(term) {
             Some(id) => self.postings_by_id_in(id, scratch),
             None => PostingList::EMPTY,
         }
+    }
+
+    /// The posting runs of a conjunction's terms, decoded into `bufs`
+    /// (grown as needed) — or `None`, before anything is decoded, when some
+    /// term is not indexed and the conjunction is therefore empty.
+    pub(crate) fn conjunction_lists<'s>(
+        &'s self,
+        terms: &[String],
+        bufs: &'s mut Vec<TermScratch>,
+    ) -> Option<Vec<PostingList<'s>>> {
+        let ids = terms
+            .iter()
+            .map(|t| self.term_id(t))
+            .collect::<Option<Vec<TermId>>>()?;
+        if bufs.len() < ids.len() {
+            bufs.resize_with(ids.len(), TermScratch::default);
+        }
+        Some(
+            ids.iter()
+                .zip(bufs.iter_mut())
+                .map(|(&id, buf)| self.postings_by_id_in(id, buf))
+                .collect(),
+        )
     }
 
     /// Document frequency: number of states containing `term`.
@@ -500,12 +314,8 @@ impl InvertedIndex {
         }
     }
 
-    /// Normalized term frequency of a posting in its state (formula 5.1).
-    pub fn tf(&self, posting: &PostingRef<'_>) -> f64 {
-        self.tf_parts(posting.doc, posting.count)
-    }
-
-    /// The same, from the raw columns (avoids forming a `PostingRef`).
+    /// Normalized term frequency of a posting in its state (formula 5.1),
+    /// from its doc and raw occurrence count.
     pub fn tf_parts(&self, doc: DocKey, count: u32) -> f64 {
         let page = &self.pages[doc.page as usize];
         let len = page.state_lengths[doc.state.index()].max(1);
@@ -524,19 +334,6 @@ impl InvertedIndex {
         (page.pagerank, ajax)
     }
 
-    /// Merges `other` into `self`: pages are appended (their indices are
-    /// re-based), posting runs are concatenated. This is the
-    /// incremental-indexing path (the thesis builds its index incrementally
-    /// from application models and merges per-partition results, §6.4).
-    ///
-    /// Because re-based doc keys are strictly greater than everything
-    /// already indexed, concatenation keeps every run sorted — the merge is
-    /// a linear two-way dictionary join, O(postings + terms), no re-sort.
-    pub fn merge(&mut self, other: InvertedIndex) {
-        let merged = InvertedIndex::merge_segments(vec![std::mem::take(self), other]);
-        *self = merged;
-    }
-
     /// K-way merge of index segments into one canonical index — panicking
     /// wrapper over [`InvertedIndex::try_merge_segments`] for callers that
     /// treat overflow as fatal.
@@ -546,16 +343,17 @@ impl InvertedIndex {
     }
 
     /// K-way merge of index segments into one canonical index — the
-    /// parallel build's combine step. Pages are concatenated in segment
-    /// order (doc keys re-based); the dictionaries are merge-joined (all
-    /// sorted), and each output term's run is the concatenation of the
-    /// segments' runs in segment order. Linear in total postings plus
+    /// parallel build's combine step (the thesis merges per-partition
+    /// results, §6.4). Pages are concatenated in segment order; the
+    /// dictionaries are merge-joined (all sorted), and each output term's
+    /// run is the concatenation of the segments' runs in segment order,
+    /// re-encoded with re-based pages. Because re-based doc keys sort after
+    /// everything from earlier segments, no run needs re-sorting; position
+    /// bytes are copied verbatim. Linear in total postings plus
     /// `terms × segments` for the join.
     ///
-    /// Mapped segments are materialized first (the merge needs random
-    /// access to whole runs). Fails with a typed error if the combined
-    /// postings, positions or pages outgrow the `u32` offset space —
-    /// previously those casts wrapped silently.
+    /// Fails with a typed error if the combined postings, pages or streams
+    /// outgrow the `u32` offset space.
     pub fn try_merge_segments(
         segments: Vec<InvertedIndex>,
     ) -> Result<InvertedIndex, IndexBuildError> {
@@ -568,128 +366,60 @@ impl InvertedIndex {
         segments: Vec<InvertedIndex>,
         limit: u64,
     ) -> Result<InvertedIndex, IndexBuildError> {
-        if segments.is_empty() {
-            return Ok(InvertedIndex::default());
-        }
-        let segments: Vec<InvertedIndex> = segments
-            .into_iter()
-            .map(InvertedIndex::into_owned)
-            .collect();
-        if segments.len() == 1 {
-            return Ok(segments.into_iter().next().expect("one segment"));
+        if segments.len() <= 1 {
+            return Ok(segments.into_iter().next().unwrap_or_default());
         }
 
         // Totals first, in u64, so the overflow check happens before any
-        // offset is narrowed to u32.
-        let mut total_pages = 0u64;
-        let mut total_states = 0u64;
-        let mut n_postings = 0u64;
-        let mut n_positions = 0u64;
-        for seg in &segments {
-            total_pages += seg.pages.len() as u64;
-            total_states += seg.total_states;
-            n_postings += seg.store_owned().docs.len() as u64;
-            n_positions += seg.store_owned().positions.len() as u64;
-        }
+        // page id is re-based in u32.
+        let total_pages: u64 = segments.iter().map(|s| s.pages.len() as u64).sum();
+        let n_postings: u64 = segments.iter().map(|s| s.seg.n_postings() as u64).sum();
         check_fits("pages", total_pages, limit)?;
         check_fits("postings", n_postings, limit)?;
-        check_fits("positions", n_positions, limit)?;
 
-        // Page re-basing offsets, page concat.
         let mut page_offsets = Vec::with_capacity(segments.len());
-        let mut next_page = 0u32;
         let mut pages = Vec::with_capacity(total_pages as usize);
         for seg in &segments {
-            page_offsets.push(next_page);
-            next_page += seg.pages.len() as u32;
+            page_offsets.push(pages.len() as u32);
             pages.extend(seg.pages.iter().cloned());
         }
+        let total_states = segments.iter().map(|s| s.total_states).sum();
 
-        let mut terms: Vec<String> = Vec::new();
-        let mut term_offsets: Vec<u32> = Vec::with_capacity(segments[0].dict.len() + 1);
-        term_offsets.push(0);
-        let mut docs: Vec<DocKey> = Vec::with_capacity(n_postings as usize);
-        let mut counts: Vec<u32> = Vec::with_capacity(n_postings as usize);
-        let mut pos_offsets: Vec<u32> = Vec::with_capacity(n_postings as usize);
-        let mut positions: Vec<u32> = Vec::with_capacity(n_positions as usize);
-
-        // K-way join over the (sorted) segment dictionaries.
-        let mut heads = vec![0u32; segments.len()];
-        loop {
-            // Smallest term among the segment heads.
-            let mut min_term: Option<&str> = None;
-            for (seg, &head) in segments.iter().zip(heads.iter()) {
-                if (head as usize) < seg.dict.len() {
-                    let t = seg.dict.term(head);
-                    if min_term.is_none_or(|m| t < m) {
-                        min_term = Some(t);
-                    }
-                }
-            }
-            let Some(term) = min_term else { break };
-            terms.push(term.to_string());
-
-            // Concatenate the term's runs in segment order; re-base docs and
-            // rewrite arena offsets. Segment order == ascending page offset,
-            // so the output run stays doc-sorted.
-            let run_start = docs.len();
-            for (s, seg) in segments.iter().enumerate() {
-                let head = heads[s];
-                if (head as usize) >= seg.dict.len() || seg.dict.term(head) != terms.last().unwrap()
-                {
+        let mut writer = SegmentWriter::new(limit);
+        let mut cursors: Vec<_> = segments.iter().map(|s| s.dict.cursor()).collect();
+        let mut scratch = TermScratch::default();
+        let mut term = Vec::new();
+        // Each round takes the smallest term among the segment heads.
+        while let Some(min) = cursors.iter().filter_map(|c| c.term()).min() {
+            term.clear();
+            term.extend_from_slice(min);
+            writer.begin_term(&term);
+            // Segment order == ascending page offset, so the output run
+            // stays doc-sorted.
+            for (s, cursor) in cursors.iter_mut().enumerate() {
+                if cursor.term() != Some(term.as_slice()) {
                     continue;
                 }
-                let run = seg.postings_by_id(head);
-                debug_assert!(
-                    docs.len() == run_start
-                        || match (docs.last(), run.docs.first()) {
-                            (Some(last), Some(first)) =>
-                                *last
-                                    < DocKey {
-                                        page: first.page + page_offsets[s],
-                                        state: first.state,
-                                    },
-                            _ => true,
-                        },
-                    "re-based postings must sort strictly after existing ones"
-                );
+                let run = segments[s].postings_by_id_in(cursor.id(), &mut scratch);
                 for i in 0..run.len() {
                     let d = run.doc(i);
-                    docs.push(DocKey {
+                    let doc = DocKey {
                         page: d.page + page_offsets[s],
                         state: d.state,
-                    });
-                    counts.push(run.count(i));
-                    pos_offsets.push(positions.len() as u32);
-                    positions.extend_from_slice(run.positions(i));
+                    };
+                    writer.push_posting(doc, run.count(i), run.position_bytes(i));
                 }
-                heads[s] = head + 1;
+                cursor.advance();
             }
-            term_offsets.push(docs.len() as u32);
         }
-
-        Ok(InvertedIndex {
-            dict: TermDict::from_sorted(terms),
-            store: Store::Owned(OwnedStore {
-                term_offsets,
-                docs,
-                counts,
-                pos_offsets,
-                positions,
-            }),
-            pages,
-            total_states,
-        })
+        writer.finish(pages, total_states)
     }
 
-    /// Estimated **resident** size of the index in bytes. Content-derived —
-    /// term dictionary (string bytes + hash table), every column and arena
-    /// at its *length*, and per-page metadata — so structurally equal
-    /// indexes report identical sizes no matter which build path produced
-    /// them (capacity padding used to make serial and parallel builds
-    /// disagree). A mapped index's columns live in the page cache, not on
-    /// the heap: only pages and bookkeeping count; see
-    /// [`InvertedIndex::mapped_bytes`].
+    /// Heap-resident size of the index in bytes: the decoded page table,
+    /// plus the segment payload when it lives on the heap (a fresh build or
+    /// merge). Content-derived, so byte-identical indexes report identical
+    /// sizes whichever build path produced them. A mapped segment's bytes
+    /// live in the page cache instead — see [`InvertedIndex::mapped_bytes`].
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let page_meta: usize = self
@@ -701,78 +431,37 @@ impl InvertedIndex {
                     + p.state_lengths.len() * size_of::<u32>()
             })
             .sum();
-        let columns = match &self.store {
-            Store::Owned(s) => {
-                s.term_offsets.len() * size_of::<u32>()
-                    + s.docs.len() * size_of::<DocKey>()
-                    + s.counts.len() * size_of::<u32>()
-                    + s.pos_offsets.len() * size_of::<u32>()
-                    + s.positions.len() * size_of::<u32>()
-            }
-            Store::Mapped(_) => 0,
+        let heap_segment = if self.is_mapped() {
+            0
+        } else {
+            self.payload().len()
         };
-        self.dict.approx_bytes() + columns + self.pages.len() * size_of::<PageEntry>() + page_meta
+        heap_segment + self.pages.len() * size_of::<PageEntry>() + page_meta
     }
 
-    /// Bytes served from the mmap-ed segment (0 for a resident index) —
-    /// the counterpart of [`InvertedIndex::approx_bytes`] for capacity
+    /// Bytes served from an mmap-ed segment (0 for a heap-backed one) — the
+    /// counterpart of [`InvertedIndex::approx_bytes`] for capacity
     /// planning: mapped bytes share the page cache and are reclaimable.
     pub fn mapped_bytes(&self) -> usize {
-        match &self.store {
-            Store::Owned(_) => 0,
-            Store::Mapped(m) => m.payload_len(),
+        if self.is_mapped() {
+            self.payload().len()
+        } else {
+            0
         }
     }
 }
 
-/// Logical equality across backings: a mapped index equals the owned index
-/// it was encoded from.
+/// Equality is equality of the canonical payload bytes: equal logical
+/// content encodes identically, whether the bytes are mapped or on the
+/// heap.
 impl PartialEq for InvertedIndex {
     fn eq(&self, other: &Self) -> bool {
-        self.total_states == other.total_states
-            && self.pages == other.pages
-            && self.dict == other.dict
-            && *self.owned_store() == *other.owned_store()
+        self.payload() == other.payload()
     }
 }
 
-/// The v3 JSON shape (kept for `save_index_v3` and the v3 load path): one
-/// object with the dictionary and each column as a field.
-impl Serialize for InvertedIndex {
-    fn serialize(&self) -> Value {
-        let store = self.owned_store();
-        let mut map = serde::Map::new();
-        map.insert("dict".to_string(), self.dict.serialize());
-        map.insert("term_offsets".to_string(), store.term_offsets.serialize());
-        map.insert("docs".to_string(), store.docs.serialize());
-        map.insert("counts".to_string(), store.counts.serialize());
-        map.insert("pos_offsets".to_string(), store.pos_offsets.serialize());
-        map.insert("positions".to_string(), store.positions.serialize());
-        map.insert("pages".to_string(), self.pages.serialize());
-        map.insert("total_states".to_string(), self.total_states.serialize());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for InvertedIndex {
-    fn deserialize(value: &Value) -> Result<Self, DeError> {
-        Ok(InvertedIndex {
-            dict: serde::__field(value, "dict")?,
-            store: Store::Owned(OwnedStore {
-                term_offsets: serde::__field(value, "term_offsets")?,
-                docs: serde::__field(value, "docs")?,
-                counts: serde::__field(value, "counts")?,
-                pos_offsets: serde::__field(value, "pos_offsets")?,
-                positions: serde::__field(value, "positions")?,
-            }),
-            pages: serde::__field(value, "pages")?,
-            total_states: serde::__field(value, "total_states")?,
-        })
-    }
-}
-
-/// Per-term accumulator inside [`IndexBuilder`]: a miniature of the final
-/// columns. Docs arrive in increasing order (states are processed in page,
+/// Per-term accumulator inside [`IndexBuilder`]: the term's posting run
+/// before encoding. Docs arrive in increasing order (states are processed in page,
 /// then state order), so each accumulator is born sorted.
 #[derive(Debug, Default)]
 struct TermAcc {
@@ -906,10 +595,10 @@ impl IndexBuilder {
     }
 
     /// Finalizes the index: re-ranks local term ids into sorted dictionary
-    /// order and lays the accumulators out as the canonical columns. Linear
-    /// in total postings plus `T log T` for the dictionary sort. Fails with
-    /// a typed error if the posting or position totals outgrow the `u32`
-    /// offset space — previously those casts wrapped silently.
+    /// order and streams the accumulators straight into the v4 segment
+    /// writer. Linear in total postings plus `T log T` for the dictionary
+    /// sort. Fails with a typed error if the postings, pages or encoded
+    /// streams outgrow the `u32` offset space.
     pub fn try_build(self) -> Result<InvertedIndex, IndexBuildError> {
         self.try_build_with_limit(U32_LIMIT)
     }
@@ -920,48 +609,20 @@ impl IndexBuilder {
         let mut order: Vec<u32> = (0..self.terms.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| self.terms[a as usize].cmp(&self.terms[b as usize]));
 
-        let n_postings: u64 = self.accs.iter().map(|a| a.docs.len() as u64).sum();
-        let n_positions: u64 = self.accs.iter().map(|a| a.positions.len() as u64).sum();
-        check_fits("postings", n_postings, limit)?;
-        check_fits("positions", n_positions, limit)?;
-        check_fits("pages", self.pages.len() as u64, limit)?;
-
-        let mut terms = Vec::with_capacity(order.len());
-        let mut term_offsets = Vec::with_capacity(order.len() + 1);
-        term_offsets.push(0u32);
-        let mut docs = Vec::with_capacity(n_postings as usize);
-        let mut counts = Vec::with_capacity(n_postings as usize);
-        let mut pos_offsets = Vec::with_capacity(n_postings as usize);
-        let mut positions = Vec::with_capacity(n_positions as usize);
-
+        let mut writer = SegmentWriter::new(limit);
+        let mut pos_bytes = Vec::new();
         for &local in &order {
             let acc = &self.accs[local as usize];
-            terms.push(self.terms[local as usize].clone());
-            debug_assert!(acc.docs.windows(2).all(|w| w[0] < w[1]));
+            writer.begin_term(self.terms[local as usize].as_bytes());
             let mut local_off = 0usize;
-            for (i, &doc) in acc.docs.iter().enumerate() {
-                let count = acc.counts[i] as usize;
-                docs.push(doc);
-                counts.push(acc.counts[i]);
-                pos_offsets.push(positions.len() as u32);
-                positions.extend_from_slice(&acc.positions[local_off..local_off + count]);
-                local_off += count;
+            for (&doc, &count) in acc.docs.iter().zip(&acc.counts) {
+                let end = local_off + count as usize;
+                segment::encode_positions(&acc.positions[local_off..end], &mut pos_bytes);
+                writer.push_posting(doc, count, &pos_bytes);
+                local_off = end;
             }
-            term_offsets.push(docs.len() as u32);
         }
-
-        Ok(InvertedIndex {
-            dict: TermDict::from_sorted(terms),
-            store: Store::Owned(OwnedStore {
-                term_offsets,
-                docs,
-                counts,
-                pos_offsets,
-                positions,
-            }),
-            pages: self.pages,
-            total_states: self.total_states,
-        })
+        writer.finish(self.pages, self.total_states)
     }
 }
 
@@ -1138,20 +799,23 @@ mod tests {
             "http://x/watch?v=1",
             &["morcheeba video", "morcheeba singer daisy"],
         )]);
-        let postings = idx.postings("morcheeba");
+        let mut buf = TermScratch::new();
+        let postings = idx.postings_in("morcheeba", &mut buf);
         assert_eq!(postings.len(), 2, "term in both states");
         assert_eq!(postings.doc(0).state, StateId(0));
         assert_eq!(postings.doc(1).state, StateId(1));
-        assert_eq!(idx.postings("singer").len(), 1);
-        assert_eq!(idx.postings("singer").doc(0).state, StateId(1));
+        let singer = idx.postings_in("singer", &mut buf);
+        assert_eq!(singer.len(), 1);
+        assert_eq!(singer.doc(0).state, StateId(1));
     }
 
     #[test]
     fn tf_normalized_by_state_length() {
         let idx = build(&[toy_model("u", &["wow wow wow bad"])]);
-        let posting = idx.postings("wow").get(0);
-        assert_eq!(posting.count, 3);
-        assert!((idx.tf(&posting) - 0.75).abs() < 1e-9);
+        let mut buf = TermScratch::new();
+        let postings = idx.postings_in("wow", &mut buf);
+        assert_eq!(postings.count(0), 3);
+        assert!((idx.tf_parts(postings.doc(0), postings.count(0)) - 0.75).abs() < 1e-9);
     }
 
     #[test]
@@ -1170,15 +834,16 @@ mod tests {
         b.add_model(&model, None);
         let idx = b.build();
         assert_eq!(idx.total_states, 1);
-        assert!(idx.postings("second").is_empty());
-        assert_eq!(idx.postings("first").len(), 1);
+        let mut buf = TermScratch::new();
+        assert!(idx.postings_in("second", &mut buf).is_empty());
+        assert_eq!(idx.postings_in("first", &mut buf).len(), 1);
     }
 
     #[test]
     fn positions_recorded_in_order() {
         let idx = build(&[toy_model("u", &["alpha beta alpha"])]);
-        let postings = idx.postings("alpha");
-        assert_eq!(postings.positions(0), &[0, 2]);
+        let mut buf = TermScratch::new();
+        let postings = idx.postings_in("alpha", &mut buf);
         let mut seen = Vec::new();
         postings.for_each_position(0, |p| seen.push(p));
         assert_eq!(seen, vec![0, 2]);
@@ -1188,8 +853,9 @@ mod tests {
     fn dictionary_ids_are_sorted_ranks() {
         let idx = build(&[toy_model("u", &["zebra alpha kiwi"])]);
         assert_eq!(idx.term_count(), 3);
-        assert_eq!(idx.dict().term(0), "alpha");
-        assert_eq!(idx.dict().term(2), "zebra");
+        let mut buf = Vec::new();
+        assert_eq!(idx.dict().decode_term(0, &mut buf), "alpha");
+        assert_eq!(idx.dict().decode_term(2, &mut buf), "zebra");
         assert_eq!(idx.term_id("kiwi"), Some(1));
         assert_eq!(idx.term_id("absent"), None);
     }
@@ -1220,7 +886,8 @@ mod tests {
             toy_model("http://x/1", &["shared word"]),
             toy_model("http://x/2", &["shared again", "shared deeper"]),
         ]);
-        let postings = idx.postings("shared");
+        let mut buf = TermScratch::new();
+        let postings = idx.postings_in("shared", &mut buf);
         assert_eq!(postings.len(), 3);
         assert!(postings.docs().windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(idx.url_of(postings.doc(2)), "http://x/2");
@@ -1239,9 +906,11 @@ mod tests {
     fn approx_bytes_counts_all_columns() {
         let idx = build(&[toy_model("http://x/1", &["alpha beta alpha gamma"])]);
         let b = idx.approx_bytes();
-        // Lower bound: position arena (4 entries × 4B) + doc column
-        // (3 postings × 8B) + dictionary strings ("alpha beta gamma").
-        assert!(b > 4 * 4 + 3 * 8 + 14, "approx_bytes = {b}");
+        // A fresh build's segment is on the heap: header + section table
+        // (160 B) + dictionary strings ("alpha beta gamma") + the URL.
+        assert!(!idx.is_mapped());
+        assert_eq!(idx.mapped_bytes(), 0);
+        assert!(b > 160 + 14 + 10, "approx_bytes = {b}");
         assert!(
             idx.approx_bytes() > IndexBuilder::new().build().approx_bytes(),
             "non-empty index must report more bytes than empty"
@@ -1375,20 +1044,22 @@ mod merge_tests {
         let m2 = model("http://b", &["dance wow"]);
         let m3 = model("http://c", &["silence here"]);
 
-        let mut merged = build(std::slice::from_ref(&m1));
-        merged.merge(build(&[m2.clone(), m3.clone()]));
+        let merged = InvertedIndex::merge_segments(vec![
+            build(std::slice::from_ref(&m1)),
+            build(&[m2.clone(), m3.clone()]),
+        ]);
         let joint = build(&[m1, m2, m3]);
 
-        // Canonical layout ⇒ structural equality, not just logical.
+        // Canonical layout ⇒ byte equality, not just logical.
         assert_eq!(merged, joint);
     }
 
     #[test]
     fn merge_into_empty() {
-        let mut empty = IndexBuilder::new().build();
+        let empty = IndexBuilder::new().build();
         let other = build(&[model("http://a", &["x y"])]);
-        empty.merge(other.clone());
-        assert_eq!(empty, other);
+        let merged = InvertedIndex::merge_segments(vec![empty, other.clone()]);
+        assert_eq!(merged, other);
     }
 
     #[test]

@@ -6,21 +6,25 @@
 //!
 //! * [`tokenize`] — lowercase word tokenizer with positions (streaming
 //!   [`tokenize::for_each_token`] for the allocation-light build path);
-//! * [`dict`] — the sorted, hash-indexed term dictionary interning terms to
+//! * [`dict`] — the sorted, front-coded term dictionary interning terms to
 //!   dense `TermId`s;
-//! * [`invert`] — the enhanced inverted file of Table 5.1 in compact
-//!   columnar form: `keyword → (URI, state, tf, positions)` stored as
-//!   per-term contiguous runs over a shared position arena, plus the
-//!   per-state AJAXRank (stationary distribution of the page's transition
-//!   graph) and the per-URL PageRank from the precrawl phase;
+//! * [`invert`] — the enhanced inverted file of Table 5.1:
+//!   `keyword → (URI, state, tf, positions)` as per-term delta+varint
+//!   posting runs in one v4 segment, plus the per-state AJAXRank
+//!   (stationary distribution of the page's transition graph) and the
+//!   per-URL PageRank from the precrawl phase; the builder and the segment
+//!   merge;
 //! * [`kernel`] — the allocation-free query kernel: galloping intersection,
 //!   reusable scoring scratch, bounded top-k;
 //! * [`query`] — boolean keyword and conjunction processing (posting-list
 //!   merge on URL, then state — §5.3.2) and the ranking formula 5.3:
 //!   `R = w1·PageRank + w2·AJAXRank + w3·Σ tf·idf + w4·proximity`;
-//! * [`segment`] — the compressed, mmap-able on-disk segment (format v4):
-//!   delta+varint posting runs, front-coded dictionary, lazily-decoded
-//!   position stream, all addressable in place behind the durable frame;
+//! * [`segment`] — the compressed, mmap-able segment (format v4), the one
+//!   representation of an index in memory and on disk: delta+varint posting
+//!   runs, front-coded dictionary, lazily-decoded position stream, all read
+//!   in place from a heap buffer or an mmap;
+//! * [`persist`] — saving and loading the segment (and crawled models)
+//!   behind the durable frame;
 //! * [`shard`] — query shipping over per-partition indexes with the global
 //!   idf computed at merge time from per-shard `(N, df)` counts (§6.5.2);
 //! * [`reference`] — the frozen pre-columnar implementation, kept as the
@@ -48,13 +52,13 @@ pub use aggregate::{locate_terms, ElementHit};
 pub use dict::{TermDict, TermId};
 pub use invert::{
     build_index_parallel, build_index_with_path, planned_build_path, try_build_index_parallel,
-    BuildPath, DocKey, IndexBuildError, IndexBuilder, InvertedIndex, PostingList, PostingRef,
-    TermScratch, PARALLEL_BUILD_MIN_STATES,
+    BuildPath, DocKey, IndexBuildError, IndexBuilder, InvertedIndex, PostingList, TermScratch,
+    PARALLEL_BUILD_MIN_STATES,
 };
 pub use kernel::ScoreScratch;
 pub use persist::{
-    load_index, load_models, save_index, save_index_v3, save_models, PersistError,
-    INDEX_FORMAT_VERSION, INDEX_MAGIC, INDEX_V3_VERSION,
+    load_index, load_models, save_index, save_models, PersistError, INDEX_FORMAT_VERSION,
+    INDEX_MAGIC,
 };
 pub use query::{search, search_top_k, Query, RankWeights, SearchResult};
 pub use shard::{

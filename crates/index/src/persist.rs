@@ -2,8 +2,9 @@
 //! later use" / "Loading an Index"; the crawler likewise serialized
 //! application models per partition, §6.3.2).
 //!
-//! The original used Java serialization; we use JSON via serde — human
-//! inspectable, versionable, and adequate for the corpus sizes at hand.
+//! The original used Java serialization. Here an index is saved as its v4
+//! segment bytes (`segment.rs`) — the same bytes it is served from in
+//! memory — and models as JSON via serde.
 //!
 //! ## Durability
 //!
@@ -15,57 +16,52 @@
 //!
 //! ## Index format versioning
 //!
-//! * **v1** (unversioned, pre-columnar): a bare object with a `postings`
-//!   term→list map. Rejected with [`PersistError::Format`] naming the
-//!   remedy (rebuild).
-//! * **v2**: the columnar layout of `invert.rs` inside a single-document
-//!   JSON envelope `{"magic","version","index"}`. Still loadable.
-//! * **v3**: the same columnar payload as JSON inside the framed durable
-//!   layout — a header line carrying the magic, version, payload length and
-//!   a CRC32 of the payload, then the payload, then an end-of-file marker.
-//!   Still loadable (and writable via [`save_index_v3`] for comparisons).
-//! * **v4** (current): the compressed binary segment of `segment.rs` inside
-//!   the same durable frame:
+//! Only **v4** is read and written: the compressed binary segment inside
+//! the durable frame,
 //!
-//!   ```text
-//!   {"magic":"ajax-index","version":4,"payload_crc32":C,"payload_len":L}
-//!   AJAXSEG4 ...binary segment...
-//!   #ajax-durable-eof
-//!   ```
+//! ```text
+//! {"magic":"ajax-index","version":4,"payload_crc32":C,"payload_len":L}
+//! AJAXSEG4 ...binary segment...
+//! #ajax-durable-eof
+//! ```
 //!
-//!   The CRC is computed over the raw payload bytes, so frame verification
-//!   is format-agnostic. Loading a v4 file **maps** it ([`ajax_crawl::durable::map_framed`])
-//!   instead of deserializing: the posting columns are addressed in place
-//!   and decoded lazily per query.
+//! The CRC is computed over the raw payload bytes, so frame verification
+//! is format-agnostic. Loading **maps** the file
+//! ([`ajax_crawl::durable::map_framed`]) instead of deserializing: the
+//! posting columns are addressed in place and decoded lazily per query.
+//! Truncated, over-long or bit-flipped files fail the length/marker/CRC
+//! checks and surface as [`PersistError::Corrupt`] naming the file — they
+//! are never silently loaded as a partial index.
 //!
-//!   Truncated, over-long or bit-flipped files fail the length/marker/CRC
-//!   checks and surface as [`PersistError::Corrupt`] naming the file — they
-//!   are never silently loaded as a partial index.
+//! Older formats — v1 (unversioned JSON), v2 (unframed JSON envelope), v3
+//! (framed JSON columns) and any other version — are rejected with a
+//! [`PersistError::Format`] naming the remedy: rebuild with
+//! `ajax-search build`.
 //!
-//! Model files use the same frame with magic `ajax-models` (legacy bare
-//! JSON arrays remain loadable).
+//! Model files use the same frame with magic `ajax-models`; unframed (bare
+//! JSON array) model files are rejected the same way.
 
 use crate::invert::InvertedIndex;
 use crate::segment;
 use ajax_crawl::durable::{self, DurableError, FrameRead, MapRead};
 use ajax_crawl::model::AppModel;
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The envelope magic for index files.
 pub const INDEX_MAGIC: &str = "ajax-index";
-/// The current index format version (v4 = compressed mmap-able segment +
-/// durable frame).
+/// The index format version (v4 = compressed mmap-able segment + durable
+/// frame) — the only one this build reads or writes.
 pub const INDEX_FORMAT_VERSION: u64 = 4;
-/// The previous (JSON columnar) index version, still read and writable via
-/// [`save_index_v3`].
-pub const INDEX_V3_VERSION: u64 = 3;
 /// The envelope magic for model files.
 pub const MODELS_MAGIC: &str = "ajax-models";
 /// The current model file format version.
 pub const MODELS_FORMAT_VERSION: u64 = 1;
+
+/// The remedy every rejected old-format file names.
+const REBUILD: &str = "rebuild with `ajax-search build`";
 
 /// Why a save/load failed. Every variant names the offending file so a
 /// multi-shard operator can tell *which* artifact is damaged.
@@ -133,34 +129,26 @@ fn format_err(path: &Path, detail: impl Into<String>) -> PersistError {
     }
 }
 
-/// Saves an inverted file to `path` in the current (v4) format: the
-/// compressed binary segment inside the durable frame (magic + version +
-/// CRC32 over the raw payload bytes + EOF marker), atomically committed.
+/// Saves an inverted file to `path`: its v4 segment bytes, unchanged,
+/// inside the durable frame (magic + version + CRC32 over the raw payload
+/// bytes + EOF marker), atomically committed.
 pub fn save_index(path: impl AsRef<Path>, index: &InvertedIndex) -> Result<(), PersistError> {
-    let path = path.as_ref();
-    let payload =
-        segment::encode(index).map_err(|e| format_err(path, format!("segment encode: {e}")))?;
-    durable::write_framed(path, INDEX_MAGIC, INDEX_FORMAT_VERSION, &payload)?;
-    Ok(())
-}
-
-/// Saves an inverted file in the previous v3 (framed JSON) format — kept
-/// for cross-version comparisons (the cold-start benchmark) and to exercise
-/// the v3 load path.
-pub fn save_index_v3(path: impl AsRef<Path>, index: &InvertedIndex) -> Result<(), PersistError> {
-    let path = path.as_ref();
-    let payload = serde_json::to_string(&index.serialize()).map_err(|e| serde_err(path, e))?;
-    durable::write_framed(path, INDEX_MAGIC, INDEX_V3_VERSION, payload.as_bytes())?;
+    durable::write_framed(
+        path.as_ref(),
+        INDEX_MAGIC,
+        INDEX_FORMAT_VERSION,
+        index.payload(),
+    )?;
     Ok(())
 }
 
 /// Loads an inverted file from `path`, verifying frame integrity (length,
 /// EOF marker, CRC32) and the format envelope.
 ///
-/// A v4 file is **memory-mapped**: the call validates the segment's
-/// structure (bounds, sentinels, dictionary coding, UTF-8) and returns an
-/// index whose posting columns are decoded lazily from the mapping. v3/v2
-/// files are deserialized into a fully resident index as before.
+/// The file is **memory-mapped**: the call validates the segment's
+/// structure (see `segment::open`) and returns an index whose posting
+/// columns are decoded lazily from the mapping. Any other format version,
+/// framed or not, is a [`PersistError::Format`] asking for a rebuild.
 pub fn load_index(path: impl AsRef<Path>) -> Result<InvertedIndex, PersistError> {
     let path = path.as_ref();
     match durable::map_framed(path)? {
@@ -171,84 +159,47 @@ pub fn load_index(path: impl AsRef<Path>) -> Result<InvertedIndex, PersistError>
                     format!("wrong magic {:?} (expected {INDEX_MAGIC:?})", frame.magic),
                 ));
             }
-            match frame.version {
-                INDEX_FORMAT_VERSION => {
-                    segment::open(Arc::new(frame)).map_err(|detail| PersistError::Corrupt {
-                        path: path.to_path_buf(),
-                        detail: format!("v4 segment: {detail}"),
-                    })
-                }
-                INDEX_V3_VERSION => {
-                    let text = std::str::from_utf8(frame.payload())
-                        .map_err(|e| format_err(path, format!("payload is not UTF-8: {e}")))?;
-                    let value: Value =
-                        serde_json::from_str(text).map_err(|e| serde_err(path, e))?;
-                    InvertedIndex::deserialize(&value)
-                        .map_err(|e| format_err(path, format!("index payload: {e}")))
-                }
-                other => Err(format_err(
+            if frame.version != INDEX_FORMAT_VERSION {
+                return Err(format_err(
                     path,
                     format!(
-                        "unsupported index format version {other} (this build reads \
-                         v{INDEX_FORMAT_VERSION} and v{INDEX_V3_VERSION}); rebuild the \
-                         index with `ajax-search build`"
+                        "unsupported index format version {} (this build reads only \
+                         v{INDEX_FORMAT_VERSION}); {REBUILD}",
+                        frame.version
                     ),
-                )),
+                ));
             }
+            segment::open(Arc::new(frame)).map_err(|detail| PersistError::Corrupt {
+                path: path.to_path_buf(),
+                detail: format!("v4 segment: {detail}"),
+            })
         }
-        MapRead::NotFramed(bytes) => load_index_legacy(path, bytes),
+        MapRead::NotFramed(bytes) => Err(reject_unframed(path, bytes)),
     }
 }
 
-/// Loads a pre-frame (v1/v2) index file: a single JSON document, possibly
-/// wrapped in the v2 `{"magic","version","index"}` envelope.
-fn load_index_legacy(path: &Path, bytes: Vec<u8>) -> Result<InvertedIndex, PersistError> {
-    let text = String::from_utf8(bytes)
-        .map_err(|e| format_err(path, format!("file is not UTF-8: {e}")))?;
-    let value: Value = serde_json::from_str(&text).map_err(|e| serde_err(path, e))?;
-    let obj = value.as_object().ok_or_else(|| {
-        format_err(
-            path,
-            format!("expected an index envelope object, got {}", value.kind()),
-        )
-    })?;
-    match obj.get("magic").and_then(Value::as_str) {
-        Some(INDEX_MAGIC) => {}
-        Some(other) => {
-            return Err(format_err(
-                path,
-                format!("wrong magic {other:?} (expected {INDEX_MAGIC:?})"),
-            ))
-        }
-        None => {
-            // Pre-envelope files (the v1 BTreeMap layout) have no magic at
-            // all — the common stale-file case; name the remedy.
-            return Err(format_err(
-                path,
-                "no format magic: this looks like a v1 (pre-columnar) or foreign \
-                 file; rebuild the index with `ajax-search build`",
-            ));
-        }
-    }
-    match obj.get("version") {
-        // v2 wrote the same columnar payload, just without the durable
-        // frame — keep old indexes loadable across the upgrade.
-        Some(Value::U64(2)) => {}
-        Some(Value::U64(v)) => {
-            return Err(format_err(
-                path,
-                format!(
-                    "unsupported index format version {v} (this build reads \
-                     v{INDEX_FORMAT_VERSION}); rebuild the index with `ajax-search build`"
-                ),
-            ))
-        }
-        _ => return Err(format_err(path, "missing or malformed format version")),
-    }
-    let index = obj
-        .get("index")
-        .ok_or_else(|| format_err(path, "envelope has no index payload"))?;
-    InvertedIndex::deserialize(index).map_err(|e| format_err(path, format!("index payload: {e}")))
+/// The error for a pre-frame (v1/v2) or foreign index file. Such files are
+/// single JSON documents; anything that is not JSON at all stays a
+/// [`PersistError::Serde`] so garbage is reported as garbage.
+fn reject_unframed(path: &Path, bytes: Vec<u8>) -> PersistError {
+    let value = match String::from_utf8(bytes) {
+        Ok(text) => match serde_json::from_str::<Value>(&text) {
+            Ok(value) => value,
+            Err(e) => return serde_err(path, e),
+        },
+        Err(e) => return format_err(path, format!("file is not UTF-8: {e}")),
+    };
+    let what = match value.as_object().and_then(|o| o.get("version")) {
+        Some(Value::U64(v)) => format!("a v{v} index envelope"),
+        _ => "no format version: a v1 (pre-columnar) or foreign file".to_string(),
+    };
+    format_err(
+        path,
+        format!(
+            "unframed file ({what}); this build reads only framed \
+             v{INDEX_FORMAT_VERSION} index segments — {REBUILD}"
+        ),
+    )
 }
 
 /// Saves crawled application models to `path` — the per-partition
@@ -266,36 +217,36 @@ pub fn save_models(path: impl AsRef<Path>, models: &[AppModel]) -> Result<(), Pe
     Ok(())
 }
 
-/// Loads application models from `path` (framed current format, or a
-/// legacy bare JSON array).
+/// Loads application models from a framed model file at `path`.
 pub fn load_models(path: impl AsRef<Path>) -> Result<Vec<AppModel>, PersistError> {
     let path = path.as_ref();
-    let bytes = match durable::read_framed(path)? {
-        FrameRead::Framed {
-            magic,
-            version,
-            payload,
-        } => {
-            if magic != MODELS_MAGIC {
-                return Err(format_err(
-                    path,
-                    format!("wrong magic {magic:?} (expected {MODELS_MAGIC:?})"),
-                ));
-            }
-            if version != MODELS_FORMAT_VERSION {
-                return Err(format_err(
-                    path,
-                    format!(
-                        "unsupported model file version {version} (this build reads \
-                         v{MODELS_FORMAT_VERSION})"
-                    ),
-                ));
-            }
-            payload
-        }
-        FrameRead::NotFramed(bytes) => bytes,
+    let FrameRead::Framed {
+        magic,
+        version,
+        payload,
+    } = durable::read_framed(path)?
+    else {
+        return Err(format_err(
+            path,
+            format!("unframed model file (a legacy bare JSON array); {REBUILD}"),
+        ));
     };
-    let text = String::from_utf8(bytes)
+    if magic != MODELS_MAGIC {
+        return Err(format_err(
+            path,
+            format!("wrong magic {magic:?} (expected {MODELS_MAGIC:?})"),
+        ));
+    }
+    if version != MODELS_FORMAT_VERSION {
+        return Err(format_err(
+            path,
+            format!(
+                "unsupported model file version {version} (this build reads \
+                 v{MODELS_FORMAT_VERSION})"
+            ),
+        ));
+    }
+    let text = String::from_utf8(payload)
         .map_err(|e| format_err(path, format!("payload is not UTF-8: {e}")))?;
     serde_json::from_str(&text).map_err(|e| serde_err(path, e))
 }
@@ -375,7 +326,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert!(loaded.is_mapped(), "v4 load must map, not deserialize");
         assert!(loaded.mapped_bytes() > 0);
-        assert_eq!(index, loaded, "logical equality across backings");
+        assert_eq!(index, loaded, "the mapped bytes are the built bytes");
         let w = RankWeights::default();
         for q in ["morcheeba", "the singer", "enjoy ride", "absent", ""] {
             let query = Query::parse(q);
@@ -385,21 +336,30 @@ mod tests {
                 "query {q:?} must be bit-identical on the mapped index"
             );
         }
-        // Materializing the mapped index reproduces the original exactly.
-        assert_eq!(loaded.into_owned(), index);
         Ok(())
     }
 
+    /// Asserts `err` is a `Format` error that names the rebuild remedy.
+    fn assert_rebuild_error(err: PersistError) {
+        match err {
+            PersistError::Format { detail, .. } => {
+                assert!(detail.contains("rebuild"), "unhelpful message: {detail}");
+                assert!(detail.contains("ajax-search build"), "message: {detail}");
+            }
+            other => panic!("expected Format error, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn v3_file_still_loads() -> Result<(), PersistError> {
-        let index = sample_index();
+    fn v3_file_rejected_with_rebuild_error() {
+        // What the previous release wrote: the columnar JSON object inside
+        // an intact durable frame at version 3.
         let path = temp_path("v3_index.json");
-        save_index_v3(&path, &index)?;
-        let loaded = load_index(&path)?;
+        let payload = r#"{"dict":["wow"],"term_offsets":[0,1],"docs":[{"page":0,"state":0}],"counts":[1],"pos_offsets":[0],"positions":[0],"pages":[{"url":"http://x","pagerank":0.5,"ajaxrank":[1.0],"state_lengths":[1]}],"total_states":1}"#;
+        durable::write_framed(&path, INDEX_MAGIC, 3, payload.as_bytes()).unwrap();
+        let err = load_index(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
-        assert!(!loaded.is_mapped(), "v3 loads resident");
-        assert_eq!(index, loaded);
-        Ok(())
+        assert_rebuild_error(err);
     }
 
     #[test]
@@ -433,13 +393,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_model_array_still_loads() {
+    fn legacy_bare_model_array_rejected() {
         let models = vec![sample_model()];
         let path = temp_path("legacy_models.json");
         std::fs::write(&path, serde_json::to_string(&models).unwrap()).unwrap();
-        let loaded = load_models(&path).unwrap();
+        let err = load_models(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
-        assert_eq!(models, loaded);
+        assert_rebuild_error(err);
     }
 
     #[test]
@@ -473,31 +433,23 @@ mod tests {
         )?;
         let err = load_index(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
-        match err {
-            PersistError::Format { detail, .. } => {
-                assert!(detail.contains("rebuild"), "unhelpful message: {detail}");
-            }
-            other => panic!("expected Format error, got {other:?}"),
-        }
+        assert_rebuild_error(err);
         Ok(())
     }
 
     #[test]
-    fn load_v2_envelope_still_loads() -> Result<(), PersistError> {
-        // What the previous release wrote: a one-document envelope with the
-        // same columnar payload, no frame. Must stay loadable.
-        let index = sample_index();
-        let mut envelope = serde::Map::new();
-        envelope.insert("magic".to_string(), Value::Str(INDEX_MAGIC.to_string()));
-        envelope.insert("version".to_string(), Value::U64(2));
-        envelope.insert("index".to_string(), index.serialize());
-        let json = serde_json::to_string(&Value::Object(envelope)).unwrap();
+    fn v2_envelope_rejected_with_rebuild_error() {
+        // What v2 wrote: a one-document envelope around the columnar JSON
+        // object, no frame.
         let path = temp_path("v2_index.json");
-        std::fs::write(&path, json).unwrap();
-        let loaded = load_index(&path)?;
+        std::fs::write(
+            &path,
+            r#"{"magic":"ajax-index","version":2,"index":{"dict":["wow"],"term_offsets":[0,1],"docs":[{"page":0,"state":0}],"counts":[1],"pos_offsets":[0],"positions":[0],"pages":[{"url":"http://x","pagerank":0.5,"ajaxrank":[1.0],"state_lengths":[1]}],"total_states":1}}"#,
+        )
+        .unwrap();
+        let err = load_index(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
-        assert_eq!(index, loaded);
-        Ok(())
+        assert_rebuild_error(err);
     }
 
     #[test]

@@ -1,8 +1,14 @@
-//! On-disk segment layout **v4**: compressed, zero-copy, mmap-able.
+//! On-disk segment layout **v4**: compressed, zero-copy, mmap-able — and
+//! the only representation of a built index.
 //!
 //! A v4 segment is the binary payload inside the usual durable frame
 //! (`ajax_crawl::durable`): the frame supplies atomic commit, the CRC and the
 //! end-of-file marker; this module defines what the payload bytes mean.
+//! [`SegmentWriter`] produces those bytes straight from sorted per-term runs
+//! (the builder and the segment merge both feed it), and every
+//! `InvertedIndex` reads them in place — from a heap buffer right after a
+//! build, from an mmap after `load_index`. `save_index` writes the bytes
+//! unchanged.
 //!
 //! ```text
 //! header (32 B):  magic "AJAXSEG4" | n_terms u32 | n_postings u32
@@ -39,33 +45,36 @@
 //!   within the term's S5 window) without a 4-byte-per-posting offset
 //!   column, and the common posting — one occurrence at a sub-128 position —
 //!   pays a single byte for both fields. Positions are
-//!   first-absolute-then-delta per posting.
-//! * **The dictionary is front-coded** in blocks of [`DICT_BLOCK`] terms: the
-//!   block head is stored whole (directly sliceable for the block binary
-//!   search), followers store `varint lcp + varint suffix_len + suffix`.
-//!   Lookups run against the mapped bytes — no `Vec<String>` is ever built.
-//! * **Decoding is lazy.** Opening a segment decodes only S7 (page metadata)
-//!   and validates the structural invariants; doc/count runs are decoded
-//!   per-query into a caller scratch, and positions are decoded only inside
-//!   the proximity scan via `PostingList::for_each_position`.
+//!   first-absolute-then-delta per posting, so a posting's position bytes do
+//!   not depend on where it sits: the merge copies them verbatim.
+//! * **The dictionary is front-coded** (`dict.rs`) in blocks of
+//!   `DICT_BLOCK` terms. Lookups run against the segment bytes — no
+//!   `Vec<String>` is ever built.
+//! * **Decoding is lazy.** Opening a segment decodes only S7 (page metadata);
+//!   doc/count runs are decoded per query into a caller scratch, and
+//!   positions only inside the proximity scan via
+//!   `PostingList::for_each_position`.
 //!
 //! Corruption safety: the durable frame's CRC32 covers the whole payload and
-//! is verified before [`open`] runs, so query-time decoding trusts the bytes;
-//! [`open`] itself re-checks every section bound and sentinel so a logically
-//! malformed (but well-checksummed) file fails loudly at load, not at query.
+//! is verified before [`open`] runs. [`open`] then checks the header, the
+//! section bounds, the fixed-width columns (lengths, sentinels,
+//! monotonicity), every dictionary block (front coding and UTF-8) and the
+//! page table. It does **not** walk S4 or S6: posting records and positions
+//! are trusted once the CRC passes, so a payload edited to keep a valid CRC
+//! can still fail at query time (a page or state out of range, a varint
+//! running past its run).
 
-use crate::dict::TermId;
-use crate::invert::{DocKey, IndexBuildError, InvertedIndex, OwnedStore, PageEntry};
+use crate::dict::{DictWriter, TermDict, TermId, DICT_BLOCK};
+use crate::invert::{check_fits, DocKey, IndexBuildError, InvertedIndex, PageEntry, TermScratch};
+use crate::persist::{INDEX_FORMAT_VERSION, INDEX_MAGIC};
 use ajax_crawl::durable::MappedFrame;
 use ajax_crawl::model::StateId;
+use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// First eight payload bytes of every v4 segment.
 pub(crate) const SEGMENT_MAGIC: [u8; 8] = *b"AJAXSEG4";
-
-/// Terms per front-coded dictionary block.
-pub(crate) const DICT_BLOCK: usize = 16;
 
 const HEADER_LEN: usize = 32;
 const SECTION_COUNT: usize = 8;
@@ -94,11 +103,24 @@ pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads one LEB128 value at `*cursor`, advancing it. The caller guarantees
-/// the bytes are well-formed (CRC-verified segment data).
+/// the bytes are well-formed (CRC-verified segment data). The one-byte case
+/// — most page deltas, states, counts and positions — stays inline; longer
+/// values take the out-of-line loop.
 #[inline]
 pub(crate) fn read_varint(bytes: &[u8], cursor: &mut usize) -> u64 {
-    let mut v = 0u64;
-    let mut shift = 0u32;
+    let b = bytes[*cursor];
+    *cursor += 1;
+    if b < 0x80 {
+        u64::from(b)
+    } else {
+        read_varint_tail(bytes, cursor, b)
+    }
+}
+
+#[inline(never)]
+fn read_varint_tail(bytes: &[u8], cursor: &mut usize, first: u8) -> u64 {
+    let mut v = u64::from(first & 0x7f);
+    let mut shift = 7u32;
     loop {
         let b = bytes[*cursor];
         *cursor += 1;
@@ -110,245 +132,242 @@ pub(crate) fn read_varint(bytes: &[u8], cursor: &mut usize) -> u64 {
     }
 }
 
-fn u32s_to_le(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Encodes one posting's ascending positions as S6 bytes into `out`
+/// (cleared first): the first position absolute, then deltas.
+pub(crate) fn encode_positions(positions: &[u32], out: &mut Vec<u8>) {
+    out.clear();
+    let mut prev = 0u32;
+    for (j, &p) in positions.iter().enumerate() {
+        write_varint(out, u64::from(if j == 0 { p } else { p - prev }));
+        prev = p;
     }
-    out
 }
 
-fn checked_u32(len: usize, column: &'static str) -> Result<u32, IndexBuildError> {
-    u32::try_from(len).map_err(|_| IndexBuildError::OffsetOverflow {
-        column,
-        len: len as u64,
-        max: u64::from(u32::MAX),
-    })
+// -------------------------------------------------------------------- writer
+
+/// The doc every run is delta-coded from: starting at (0, 0) makes a run's
+/// absolute first record an ordinary delta record.
+const RUN_START: DocKey = DocKey {
+    page: 0,
+    state: StateId(0),
+};
+
+/// Streams sorted per-term posting runs into a v4 payload. Terms must
+/// arrive in sorted order and each run's docs in ascending order; the
+/// output is canonical, so equal content always yields equal bytes.
+///
+/// Offsets are narrowed to `u32` as they are written and every column is
+/// checked against the offset limit once, in [`SegmentWriter::finish`]: an
+/// offset never exceeds its column's final length, so a column that fits
+/// never wrapped.
+pub(crate) struct SegmentWriter {
+    limit: u64,
+    dict: DictWriter,
+    n_postings: u64,
+    /// S0, S1, S5: one little-endian `u32` per term start, then the end
+    /// sentinel.
+    term_offsets: Vec<u8>,
+    run_offsets: Vec<u8>,
+    term_pos: Vec<u8>,
+    /// S4 and S6.
+    postings: Vec<u8>,
+    pos_stream: Vec<u8>,
+    /// The previous doc of the current run ([`RUN_START`] at a run start).
+    prev: DocKey,
 }
 
-fn lcp(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
-}
-
-// ------------------------------------------------------------------- encoder
-
-/// Encodes `index` into a v4 segment payload. Works on owned and mapped
-/// indexes alike (a mapped index re-encodes to the identical canonical
-/// bytes). Fails with a typed overflow error if any byte column outgrows the
-/// `u32` offset space.
-pub(crate) fn encode(index: &InvertedIndex) -> Result<Vec<u8>, IndexBuildError> {
-    let store = index.owned_store();
-    let store: &OwnedStore = &store;
-    let n_terms = index.term_count();
-    let n_postings = store.docs.len();
-    let n_pages = checked_u32(index.pages.len(), "pages")?;
-    checked_u32(n_postings, "postings")?;
-
-    // S4 posting records + S6 position stream, one pass per term run; S1
-    // tracks run byte bounds and S5 the per-term position-stream bounds.
-    let mut postings_stream = Vec::new();
-    let mut pos_stream = Vec::new();
-    let mut run_offsets = Vec::with_capacity(n_terms + 1);
-    let mut term_pos_offsets = Vec::with_capacity(n_terms + 1);
-    run_offsets.push(0u32);
-    term_pos_offsets.push(0u32);
-    let mut pos_buf = Vec::new();
-    for t in 0..n_terms {
-        let start = store.term_offsets[t] as usize;
-        let end = store.term_offsets[t + 1] as usize;
-        let mut prev = DocKey {
-            page: 0,
-            state: StateId(0),
-        };
-        for i in start..end {
-            // The posting's position slice, delta+varint, staged so its byte
-            // length can go into the record.
-            pos_buf.clear();
-            let o = store.pos_offsets[i] as usize;
-            let c = store.counts[i] as usize;
-            let mut pp = 0u32;
-            for (j, &p) in store.positions[o..o + c].iter().enumerate() {
-                let delta = if j == 0 { p } else { p - pp };
-                write_varint(&mut pos_buf, u64::from(delta));
-                pp = p;
-            }
-
-            let d = store.docs[i];
-            if i == start {
-                write_varint(&mut postings_stream, u64::from(d.page));
-                write_varint(&mut postings_stream, u64::from(d.state.0));
-            } else {
-                let page_delta = d.page - prev.page;
-                write_varint(&mut postings_stream, u64::from(page_delta));
-                if page_delta == 0 {
-                    write_varint(&mut postings_stream, u64::from(d.state.0 - prev.state.0));
-                } else {
-                    write_varint(&mut postings_stream, u64::from(d.state.0));
-                }
-            }
-            let extra = pos_buf.len() as u64 - u64::from(store.counts[i]);
-            let g = (u64::from(store.counts[i]) - 1) << 1 | u64::from(extra > 0);
-            write_varint(&mut postings_stream, g);
-            if extra > 0 {
-                write_varint(&mut postings_stream, extra);
-            }
-            pos_stream.extend_from_slice(&pos_buf);
-            prev = d;
+impl SegmentWriter {
+    /// A writer whose columns may hold at most `limit` entries or bytes
+    /// (`u32::MAX` in production; tests inject small limits).
+    pub(crate) fn new(limit: u64) -> Self {
+        Self {
+            limit,
+            dict: DictWriter::default(),
+            n_postings: 0,
+            term_offsets: Vec::new(),
+            run_offsets: Vec::new(),
+            term_pos: Vec::new(),
+            postings: Vec::new(),
+            pos_stream: Vec::new(),
+            prev: RUN_START,
         }
-        run_offsets.push(checked_u32(postings_stream.len(), "postings_stream")?);
-        term_pos_offsets.push(checked_u32(pos_stream.len(), "position_stream")?);
     }
 
-    // S3 front-coded dictionary + S2 block offsets.
-    let mut dict_data = Vec::new();
-    let mut block_offsets = vec![0u32];
-    let mut prev_term: Vec<u8> = Vec::new();
-    let mut term_buf = Vec::new();
-    for t in 0..n_terms {
-        let term = index.dict().decode_term(t as TermId, &mut term_buf);
-        let bytes = term.as_bytes();
-        if t % DICT_BLOCK == 0 {
-            if t > 0 {
-                block_offsets.push(checked_u32(dict_data.len(), "dict_data")?);
-            }
-            write_varint(&mut dict_data, bytes.len() as u64);
-            dict_data.extend_from_slice(bytes);
+    fn push_offsets(&mut self) {
+        self.term_offsets
+            .extend_from_slice(&(self.n_postings as u32).to_le_bytes());
+        self.run_offsets
+            .extend_from_slice(&(self.postings.len() as u32).to_le_bytes());
+        self.term_pos
+            .extend_from_slice(&(self.pos_stream.len() as u32).to_le_bytes());
+    }
+
+    /// Starts the next term's run.
+    pub(crate) fn begin_term(&mut self, term: &[u8]) {
+        self.dict.push(term);
+        self.push_offsets();
+        self.prev = RUN_START;
+    }
+
+    /// Appends one posting to the current run: `count` occurrences whose
+    /// positions are `pos_bytes` (as [`encode_positions`] writes them).
+    pub(crate) fn push_posting(&mut self, doc: DocKey, count: u32, pos_bytes: &[u8]) {
+        let out = &mut self.postings;
+        let prev = self.prev;
+        debug_assert!(prev <= doc, "run docs must ascend");
+        let page_delta = doc.page - prev.page;
+        write_varint(out, u64::from(page_delta));
+        if page_delta == 0 {
+            write_varint(out, u64::from(doc.state.0 - prev.state.0));
         } else {
-            let l = lcp(&prev_term, bytes);
-            write_varint(&mut dict_data, l as u64);
-            write_varint(&mut dict_data, (bytes.len() - l) as u64);
-            dict_data.extend_from_slice(&bytes[l..]);
+            write_varint(out, u64::from(doc.state.0));
         }
-        prev_term.clear();
-        prev_term.extend_from_slice(bytes);
-    }
-    if n_terms > 0 {
-        block_offsets.push(checked_u32(dict_data.len(), "dict_data")?);
+        let extra = pos_bytes.len() as u64 - u64::from(count);
+        write_varint(out, (u64::from(count) - 1) << 1 | u64::from(extra > 0));
+        if extra > 0 {
+            write_varint(out, extra);
+        }
+        self.pos_stream.extend_from_slice(pos_bytes);
+        self.n_postings += 1;
+        self.prev = doc;
     }
 
-    // S7 page metadata.
-    let mut pages_bytes = Vec::new();
-    for p in &index.pages {
-        write_varint(&mut pages_bytes, p.url.len() as u64);
-        pages_bytes.extend_from_slice(p.url.as_bytes());
-        pages_bytes.extend_from_slice(&p.pagerank.to_le_bytes());
-        write_varint(&mut pages_bytes, p.ajaxrank.len() as u64);
-        for &a in &p.ajaxrank {
-            pages_bytes.extend_from_slice(&a.to_le_bytes());
-        }
-        write_varint(&mut pages_bytes, p.state_lengths.len() as u64);
-        for &l in &p.state_lengths {
-            write_varint(&mut pages_bytes, u64::from(l));
-        }
-    }
+    /// Lays out header, section table and sections, and returns the index
+    /// reading them from a heap buffer. Fails with a typed error if any
+    /// column outgrew the offset limit.
+    pub(crate) fn finish(
+        mut self,
+        pages: Vec<PageEntry>,
+        total_states: u64,
+    ) -> Result<InvertedIndex, IndexBuildError> {
+        let limit = self.limit;
+        check_fits("postings", self.n_postings, limit)?;
+        check_fits("pages", pages.len() as u64, limit)?;
+        check_fits("postings_stream", self.postings.len() as u64, limit)?;
+        check_fits("position_stream", self.pos_stream.len() as u64, limit)?;
+        check_fits("dict_data", self.dict.data.len() as u64, limit)?;
+        self.push_offsets();
+        self.dict.finish();
+        let n_terms = self.term_offsets.len() / 4 - 1;
 
-    let s0 = u32s_to_le(&store.term_offsets);
-    let s1 = u32s_to_le(&run_offsets);
-    let s2 = u32s_to_le(&block_offsets);
-    let s5 = u32s_to_le(&term_pos_offsets);
-    let sections: [&[u8]; SECTION_COUNT] = [
-        &s0,
-        &s1,
-        &s2,
-        &dict_data,
-        &postings_stream,
-        &s5,
-        &pos_stream,
-        &pages_bytes,
-    ];
+        let mut pages_bytes = Vec::new();
+        for p in &pages {
+            write_varint(&mut pages_bytes, p.url.len() as u64);
+            pages_bytes.extend_from_slice(p.url.as_bytes());
+            pages_bytes.extend_from_slice(&p.pagerank.to_le_bytes());
+            write_varint(&mut pages_bytes, p.ajaxrank.len() as u64);
+            for &a in &p.ajaxrank {
+                pages_bytes.extend_from_slice(&a.to_le_bytes());
+            }
+            write_varint(&mut pages_bytes, p.state_lengths.len() as u64);
+            for &l in &p.state_lengths {
+                write_varint(&mut pages_bytes, u64::from(l));
+            }
+        }
 
-    let body: usize = sections.iter().map(|s| s.len()).sum();
-    let mut out = Vec::with_capacity(PREFIX_LEN + body);
-    out.extend_from_slice(&SEGMENT_MAGIC);
-    out.extend_from_slice(&(n_terms as u32).to_le_bytes());
-    out.extend_from_slice(&(n_postings as u32).to_le_bytes());
-    out.extend_from_slice(&n_pages.to_le_bytes());
-    out.extend_from_slice(&(DICT_BLOCK as u32).to_le_bytes());
-    out.extend_from_slice(&index.total_states.to_le_bytes());
-    let mut offset = PREFIX_LEN as u64;
-    for s in &sections {
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        offset += s.len() as u64;
+        let sections: [&[u8]; SECTION_COUNT] = [
+            &self.term_offsets,
+            &self.run_offsets,
+            &self.dict.block_offsets,
+            &self.dict.data,
+            &self.postings,
+            &self.term_pos,
+            &self.pos_stream,
+            &pages_bytes,
+        ];
+        let body: usize = sections.iter().map(|s| s.len()).sum();
+        let mut out = Vec::with_capacity(PREFIX_LEN + body);
+        out.extend_from_slice(&SEGMENT_MAGIC);
+        out.extend_from_slice(&(n_terms as u32).to_le_bytes());
+        out.extend_from_slice(&(self.n_postings as u32).to_le_bytes());
+        out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(DICT_BLOCK as u32).to_le_bytes());
+        out.extend_from_slice(&total_states.to_le_bytes());
+        let mut offset = PREFIX_LEN as u64;
+        for s in &sections {
+            out.extend_from_slice(&offset.to_le_bytes());
+            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
+            offset += s.len() as u64;
+        }
+        for s in &sections {
+            out.extend_from_slice(s);
+        }
+
+        let frame = Arc::new(MappedFrame::from_payload(
+            INDEX_MAGIC,
+            INDEX_FORMAT_VERSION,
+            out,
+        ));
+        let layout = Layout::parse(frame.payload()).expect("the writer emits a valid header");
+        Ok(layout.index(frame, pages))
     }
-    for s in &sections {
-        out.extend_from_slice(s);
-    }
-    Ok(out)
 }
 
-// ------------------------------------------------------------------- decoder
+// -------------------------------------------------------------------- reader
 
-/// The mapped posting store: `Arc`-shared frame plus byte ranges of the
-/// posting-related sections within the payload. Cloning is cheap (one `Arc`
-/// bump) and the decoded state lives entirely in caller scratch buffers.
-#[derive(Debug, Clone)]
-pub struct MappedPostings {
+/// The posting sections of a segment: the `Arc`-shared payload plus the
+/// byte ranges of S0/S1/S4/S5/S6. Cloning is one `Arc` bump; decoded state
+/// lives entirely in caller scratch buffers.
+#[derive(Clone)]
+pub(crate) struct Segment {
     frame: Arc<MappedFrame>,
     term_offsets: Range<usize>,
     run_offsets: Range<usize>,
     postings: Range<usize>,
-    term_pos_offsets: Range<usize>,
+    term_pos: Range<usize>,
     pos_stream: Range<usize>,
-    n_terms: usize,
-    n_postings: usize,
 }
 
-impl MappedPostings {
-    fn payload(&self) -> &[u8] {
+impl fmt::Debug for Segment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Segment")
+            .field("payload_bytes", &self.payload().len())
+            .field("mapped", &self.is_mapped())
+            .finish()
+    }
+}
+
+impl Segment {
+    /// The whole canonical payload — what `save_index` writes and what
+    /// index equality compares.
+    pub(crate) fn payload(&self) -> &[u8] {
         self.frame.payload()
     }
 
-    fn term_offsets_slice(&self) -> &[u8] {
-        &self.payload()[self.term_offsets.clone()]
+    /// True when the payload is a kernel mapping rather than heap bytes.
+    pub(crate) fn is_mapped(&self) -> bool {
+        self.frame.is_mapped()
     }
 
-    fn run_offsets_slice(&self) -> &[u8] {
-        &self.payload()[self.run_offsets.clone()]
+    fn section(&self, r: &Range<usize>) -> &[u8] {
+        &self.payload()[r.clone()]
     }
 
-    fn postings_slice(&self) -> &[u8] {
-        &self.payload()[self.postings.clone()]
-    }
-
-    fn term_pos_offsets_slice(&self) -> &[u8] {
-        &self.payload()[self.term_pos_offsets.clone()]
-    }
-
-    fn pos_stream_bytes(&self) -> &[u8] {
-        &self.payload()[self.pos_stream.clone()]
-    }
-
-    /// Whole-payload length — what `mapped_bytes` reports for residency.
-    pub(crate) fn payload_len(&self) -> usize {
-        self.payload().len()
+    /// Total postings (the S0 sentinel).
+    pub(crate) fn n_postings(&self) -> usize {
+        let s = self.section(&self.term_offsets);
+        u32_at(s, s.len() / 4 - 1) as usize
     }
 
     /// Posting-index bounds of term `id` (from the fixed-width S0 column —
-    /// no stream decode needed, so `df` stays O(1) on mapped segments).
-    pub(crate) fn run_range(&self, id: TermId) -> Range<usize> {
-        let s = self.term_offsets_slice();
-        u32_at(s, id as usize) as usize..u32_at(s, id as usize + 1) as usize
-    }
-
+    /// no stream decode needed, so `df` stays O(1)).
     pub(crate) fn run_len(&self, id: TermId) -> usize {
-        self.run_range(id).len()
+        let s = self.section(&self.term_offsets);
+        (u32_at(s, id as usize + 1) - u32_at(s, id as usize)) as usize
     }
 
-    /// Decodes term `id`'s doc and count columns into the scratch vectors,
-    /// plus `pos_offs`: `run_len + 1` cumulative byte offsets into the
-    /// term's position window ([`MappedPostings::term_pos_window`]), built
-    /// from the per-record `pos_len` varints as a side effect of the same
-    /// pass — position *bytes* stay untouched.
-    pub(crate) fn decode_docs_counts(
-        &self,
-        id: TermId,
-        docs: &mut Vec<DocKey>,
-        counts: &mut Vec<u32>,
-        pos_offs: &mut Vec<u32>,
-    ) {
-        let run = self.run_range(id);
-        let n = run.len();
+    /// Decodes term `id`'s doc and count columns into `scratch`, plus
+    /// `pos_offs`: `run_len + 1` cumulative byte offsets into the term's
+    /// position window ([`Segment::term_pos_window`]), built from the
+    /// per-record `pos_len` varints as a side effect of the same pass —
+    /// position *bytes* stay untouched.
+    pub(crate) fn decode_run(&self, id: TermId, scratch: &mut TermScratch) {
+        let n = self.run_len(id);
+        let TermScratch {
+            docs,
+            counts,
+            pos_offs,
+        } = scratch;
         docs.clear();
         counts.clear();
         pos_offs.clear();
@@ -356,18 +375,16 @@ impl MappedPostings {
         counts.reserve(n);
         pos_offs.reserve(n + 1);
         pos_offs.push(0);
-        let stream = self.postings_slice();
-        let mut cur = u32_at(self.run_offsets_slice(), id as usize) as usize;
-        let mut page = 0u32;
-        let mut state = 0u32;
+        let stream = self.section(&self.postings);
+        let run_offsets = self.section(&self.run_offsets);
+        let mut cur = u32_at(run_offsets, id as usize) as usize;
+        let mut page = RUN_START.page;
+        let mut state = RUN_START.state.0;
         let mut pos_at = 0u32;
-        for i in 0..n {
+        for _ in 0..n {
             let page_delta = read_varint(stream, &mut cur) as u32;
             let s = read_varint(stream, &mut cur) as u32;
-            if i == 0 {
-                page = page_delta;
-                state = s;
-            } else if page_delta == 0 {
+            if page_delta == 0 {
                 state += s;
             } else {
                 page += page_delta;
@@ -390,7 +407,7 @@ impl MappedPostings {
         }
         debug_assert_eq!(
             cur,
-            u32_at(self.run_offsets_slice(), id as usize + 1) as usize,
+            u32_at(run_offsets, id as usize + 1) as usize,
             "posting run must decode to exactly its declared byte range"
         );
         debug_assert_eq!(
@@ -403,202 +420,89 @@ impl MappedPostings {
     /// The S6 slice holding term `id`'s positions (bounds from the
     /// fixed-width S5 column).
     pub(crate) fn term_pos_window(&self, id: TermId) -> &[u8] {
-        let s = self.term_pos_offsets_slice();
+        let s = self.section(&self.term_pos);
         let start = u32_at(s, id as usize) as usize;
         let end = u32_at(s, id as usize + 1) as usize;
-        &self.pos_stream_bytes()[start..end]
-    }
-
-    /// Fully decodes the segment back into owned columns (merge and v3
-    /// re-save paths; queries never need this).
-    pub(crate) fn materialize(&self) -> OwnedStore {
-        let mut term_offsets = Vec::with_capacity(self.n_terms + 1);
-        let to = self.term_offsets_slice();
-        for i in 0..=self.n_terms {
-            term_offsets.push(u32_at(to, i));
-        }
-
-        let mut docs = Vec::with_capacity(self.n_postings);
-        let mut counts = Vec::with_capacity(self.n_postings);
-        let mut pos_offsets = Vec::with_capacity(self.n_postings);
-        let mut positions = Vec::new();
-        let stream = self.postings_slice();
-        let pstream = self.pos_stream_bytes();
-        let tpo = self.term_pos_offsets_slice();
-        let ro = self.run_offsets_slice();
-        for t in 0..self.n_terms {
-            let n = (u32_at(to, t + 1) - u32_at(to, t)) as usize;
-            let mut cur = u32_at(ro, t) as usize;
-            let mut pcur = u32_at(tpo, t) as usize;
-            let mut page = 0u32;
-            let mut state = 0u32;
-            for i in 0..n {
-                let page_delta = read_varint(stream, &mut cur) as u32;
-                let s = read_varint(stream, &mut cur) as u32;
-                if i == 0 {
-                    page = page_delta;
-                    state = s;
-                } else if page_delta == 0 {
-                    state += s;
-                } else {
-                    page += page_delta;
-                    state = s;
-                }
-                docs.push(DocKey {
-                    page,
-                    state: StateId(state),
-                });
-                let g = read_varint(stream, &mut cur);
-                let count = (g >> 1) as u32 + 1;
-                let extra = if g & 1 == 1 {
-                    read_varint(stream, &mut cur) as usize
-                } else {
-                    0
-                };
-                counts.push(count);
-                let pend = pcur + count as usize + extra;
-                pos_offsets.push(positions.len() as u32);
-                let mut p = 0u32;
-                let mut first = true;
-                while pcur < pend {
-                    let d = read_varint(pstream, &mut pcur) as u32;
-                    p = if first { d } else { p + d };
-                    first = false;
-                    positions.push(p);
-                }
-            }
-        }
-
-        OwnedStore {
-            term_offsets,
-            docs,
-            counts,
-            pos_offsets,
-            positions,
-        }
+        &self.section(&self.pos_stream)[start..end]
     }
 }
 
-/// The mapped dictionary: front-coded term bytes addressed through the block
-/// table, looked up without materializing any `String`.
-#[derive(Debug, Clone)]
-pub struct MappedDict {
-    frame: Arc<MappedFrame>,
-    block_offsets: Range<usize>,
-    data: Range<usize>,
+/// Header fields and section ranges of a payload.
+struct Layout {
     n_terms: usize,
+    n_postings: usize,
+    n_pages: usize,
     block: usize,
+    total_states: u64,
+    secs: Vec<Range<usize>>,
 }
 
-impl MappedDict {
-    fn data_slice(&self) -> &[u8] {
-        &self.frame.payload()[self.data.clone()]
+impl Layout {
+    /// Reads the header and the section table, checking the magic, the
+    /// block size and that every section lies inside the payload after the
+    /// table.
+    fn parse(payload: &[u8]) -> Result<Layout, String> {
+        if payload.len() < PREFIX_LEN {
+            return Err(format!(
+                "segment too short: {} bytes, header+table need {PREFIX_LEN}",
+                payload.len()
+            ));
+        }
+        if payload[..8] != SEGMENT_MAGIC {
+            return Err("bad segment magic".to_string());
+        }
+        let u32_field = |at: usize| u32_at(&payload[at..at + 4], 0) as usize;
+        let u64_field =
+            |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
+        let block = u32_field(20);
+        if block == 0 {
+            return Err("zero dictionary block size".to_string());
+        }
+        let mut secs = Vec::with_capacity(SECTION_COUNT);
+        for i in 0..SECTION_COUNT {
+            let at = HEADER_LEN + i * 16;
+            let (off, len) = (u64_field(at), u64_field(at + 8));
+            let end = off.checked_add(len).filter(|&e| e <= payload.len() as u64);
+            let (Ok(off), Some(_)) = (usize::try_from(off), end) else {
+                return Err(format!("section {i} out of bounds"));
+            };
+            if off < PREFIX_LEN {
+                return Err(format!("section {i} overlaps the header"));
+            }
+            secs.push(off..off + len as usize);
+        }
+        Ok(Layout {
+            n_terms: u32_field(8),
+            n_postings: u32_field(12),
+            n_pages: u32_field(16),
+            block,
+            total_states: u64_field(24),
+            secs,
+        })
     }
 
-    fn block_offsets_slice(&self) -> &[u8] {
-        &self.frame.payload()[self.block_offsets.clone()]
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.n_terms
-    }
-
-    /// The head term of block `b` — stored whole, directly sliceable.
-    fn head_bytes(&self, b: usize) -> &[u8] {
-        let data = self.data_slice();
-        let mut cur = u32_at(self.block_offsets_slice(), b) as usize;
-        let len = read_varint(data, &mut cur) as usize;
-        &data[cur..cur + len]
-    }
-
-    /// Hash-free lookup against the mapped bytes: binary search over block
-    /// heads, then a front-coded scan tracking `m = lcp(query, previous)`.
-    /// Each follower entry is classified from its stored lcp alone —
-    /// `lcp < m` proves the entry already sorts after the query (stop),
-    /// `lcp > m` proves it still sorts before (skip without touching its
-    /// bytes), and only `lcp == m` compares suffix bytes.
-    pub(crate) fn lookup(&self, term: &str) -> Option<TermId> {
-        if self.n_terms == 0 {
-            return None;
+    /// The index over `frame` laid out as `self`, with its decoded pages.
+    fn index(self, frame: Arc<MappedFrame>, pages: Vec<PageEntry>) -> InvertedIndex {
+        let s = &self.secs;
+        InvertedIndex {
+            dict: TermDict::new(
+                Arc::clone(&frame),
+                s[2].clone(),
+                s[3].clone(),
+                self.n_terms,
+                self.block,
+            ),
+            seg: Segment {
+                term_offsets: s[0].clone(),
+                run_offsets: s[1].clone(),
+                postings: s[4].clone(),
+                term_pos: s[5].clone(),
+                pos_stream: s[6].clone(),
+                frame,
+            },
+            pages,
+            total_states: self.total_states,
         }
-        let q = term.as_bytes();
-        let blocks = self.n_terms.div_ceil(self.block);
-
-        // Last block whose head is <= q.
-        let mut lo = 0usize;
-        let mut hi = blocks;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.head_bytes(mid) <= q {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo == 0 {
-            return None; // query sorts before the first term
-        }
-        let b = lo - 1;
-
-        let data = self.data_slice();
-        let mut cur = u32_at(self.block_offsets_slice(), b) as usize;
-        let head_len = read_varint(data, &mut cur) as usize;
-        let head = &data[cur..cur + head_len];
-        cur += head_len;
-        if head == q {
-            return Some((b * self.block) as TermId);
-        }
-        // Invariant below: the previously decoded term sorts before q and
-        // shares exactly `m` leading bytes with it.
-        let mut m = lcp(q, head);
-        let in_block = (self.n_terms - b * self.block).min(self.block);
-        for j in 1..in_block {
-            let l = read_varint(data, &mut cur) as usize;
-            let slen = read_varint(data, &mut cur) as usize;
-            let suffix = &data[cur..cur + slen];
-            cur += slen;
-            if l < m {
-                // entry diverges from its predecessor before `m`: its first
-                // suffix byte exceeds q[l] (sorted order), so entry > q.
-                return None;
-            }
-            if l > m {
-                // entry[..m+1] == predecessor[..m+1] < q[..m+1]: entry < q.
-                continue;
-            }
-            let rest = &q[m..];
-            if suffix == rest {
-                return Some((b * self.block + j) as TermId);
-            }
-            if suffix < rest {
-                m += lcp(suffix, rest);
-            } else {
-                return None;
-            }
-        }
-        None
-    }
-
-    /// Decodes term `id` into `buf`, returning it as `&str`. The scratch is
-    /// a byte buffer (not `String`) because front-coded truncation points
-    /// may split UTF-8 sequences mid-reconstruction.
-    pub(crate) fn decode_term<'b>(&self, id: TermId, buf: &'b mut Vec<u8>) -> &'b str {
-        let id = id as usize;
-        let b = id / self.block;
-        let data = self.data_slice();
-        let mut cur = u32_at(self.block_offsets_slice(), b) as usize;
-        let len = read_varint(data, &mut cur) as usize;
-        buf.clear();
-        buf.extend_from_slice(&data[cur..cur + len]);
-        cur += len;
-        for _ in 0..(id - b * self.block) {
-            let l = read_varint(data, &mut cur) as usize;
-            let slen = read_varint(data, &mut cur) as usize;
-            buf.truncate(l);
-            buf.extend_from_slice(&data[cur..cur + slen]);
-            cur += slen;
-        }
-        std::str::from_utf8(buf).expect("segment terms are valid UTF-8 (checked at open)")
     }
 }
 
@@ -649,43 +553,21 @@ impl<'a> Reader<'a> {
 }
 
 /// Opens a v4 segment over a validated durable frame: checks the header,
-/// section table and structural sentinels, decodes page metadata eagerly,
-/// and wires everything else up for lazy per-query decode. Errors are
+/// the section table, the fixed-width columns and the dictionary, decodes
+/// page metadata eagerly, and wires everything else up for lazy per-query
+/// decode. S4/S6 are not walked (see the module docs). Errors are
 /// human-readable details for `PersistError::Corrupt`.
 pub(crate) fn open(frame: Arc<MappedFrame>) -> Result<InvertedIndex, String> {
     let payload = frame.payload();
-    if payload.len() < PREFIX_LEN {
-        return Err(format!(
-            "segment too short: {} bytes, header+table need {PREFIX_LEN}",
-            payload.len()
-        ));
-    }
-    if payload[..8] != SEGMENT_MAGIC {
-        return Err("bad segment magic".to_string());
-    }
-    let n_terms = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")) as usize;
-    let n_postings = u32::from_le_bytes(payload[12..16].try_into().expect("4 bytes")) as usize;
-    let n_pages = u32::from_le_bytes(payload[16..20].try_into().expect("4 bytes")) as usize;
-    let block = u32::from_le_bytes(payload[20..24].try_into().expect("4 bytes")) as usize;
-    let total_states = u64::from_le_bytes(payload[24..32].try_into().expect("8 bytes"));
-    if block == 0 {
-        return Err("zero dictionary block size".to_string());
-    }
-
-    let mut secs: Vec<Range<usize>> = Vec::with_capacity(SECTION_COUNT);
-    for i in 0..SECTION_COUNT {
-        let at = HEADER_LEN + i * 16;
-        let off = u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(payload[at + 8..at + 16].try_into().expect("8 bytes"));
-        let end = off.checked_add(len).filter(|&e| e <= payload.len() as u64);
-        let (Ok(off), Some(_)) = (usize::try_from(off), end) else {
-            return Err(format!("section {i} out of bounds"));
-        };
-        if off < PREFIX_LEN {
-            return Err(format!("section {i} overlaps the header"));
-        }
-        secs.push(off..off + len as usize);
-    }
+    let layout = Layout::parse(payload)?;
+    let Layout {
+        n_terms,
+        n_postings,
+        n_pages,
+        block,
+        ref secs,
+        ..
+    } = layout;
 
     let blocks = n_terms.div_ceil(block);
     let expect_len = |i: usize, want: usize, what: &str| -> Result<(), String> {
@@ -811,29 +693,7 @@ pub(crate) fn open(frame: Arc<MappedFrame>) -> Result<InvertedIndex, String> {
         }
     }
 
-    let dict = MappedDict {
-        frame: frame.clone(),
-        block_offsets: secs[2].clone(),
-        data: secs[3].clone(),
-        n_terms,
-        block,
-    };
-    let postings = MappedPostings {
-        frame,
-        term_offsets: secs[0].clone(),
-        run_offsets: secs[1].clone(),
-        postings: secs[4].clone(),
-        term_pos_offsets: secs[5].clone(),
-        pos_stream: secs[6].clone(),
-        n_terms,
-        n_postings,
-    };
-    Ok(InvertedIndex::from_mapped(
-        dict,
-        postings,
-        pages,
-        total_states,
-    ))
+    Ok(layout.index(frame, pages))
 }
 
 #[cfg(test)]

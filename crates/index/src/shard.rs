@@ -13,7 +13,7 @@
 //! the merged [`BrokerResult`]; the merge no longer rebuilds a
 //! `(url, doc) → shard` hash map per query.
 
-use crate::invert::{DocKey, InvertedIndex, PostingList, TermScratch};
+use crate::invert::{DocKey, InvertedIndex};
 use crate::kernel::{self, ScoreScratch};
 use crate::probe;
 use crate::query::{Query, RankWeights};
@@ -175,15 +175,13 @@ pub fn eval_shard_with_scratch(
         term_bufs,
         ..
     } = scratch;
-    if term_bufs.len() < query.terms.len() {
-        term_bufs.resize_with(query.terms.len(), TermScratch::default);
-    }
-    let lists: Vec<PostingList<'_>> = query
-        .terms
-        .iter()
-        .zip(term_bufs.iter_mut())
-        .map(|(t, buf)| shard.postings_in(t, buf))
-        .collect();
+    let Some(lists) = shard.conjunction_lists(&query.terms, term_bufs) else {
+        let stats = ShardTermStats {
+            total_states: shard.total_states,
+            df: query.terms.iter().map(|t| shard.df(t)).collect(),
+        };
+        return (Vec::new(), stats);
+    };
     let stats = ShardTermStats {
         total_states: shard.total_states,
         df: lists.iter().map(|l| l.len() as u64).collect(),

@@ -1,8 +1,9 @@
-//! Property suite for the v4 on-disk segment: any index the builder can
-//! produce must survive encode → mmap-backed load **bit-identically** —
-//! structural equality, equal search results (score bits included), and a
-//! clean round-trip back to an owned index. The flip side: any torn or
-//! bit-flipped artifact must be *rejected* at load, never half-read.
+//! Property suite for the v4 segment: any index the builder can produce
+//! must survive save → mmap-backed load **bit-identically** — equal payload
+//! bytes, equal search results (score bits included), and a re-save of the
+//! loaded index that reproduces the file byte for byte. The segment merge
+//! must produce the same bytes as one serial build. The flip side: any torn
+//! or bit-flipped artifact must be *rejected* at load, never half-read.
 //!
 //! These run against real temp files so the mmap path (not just the
 //! encoder) is what's under test.
@@ -72,11 +73,24 @@ const QUERIES: &[&str] = &[
 ];
 
 fn build(models: &[AppModel]) -> InvertedIndex {
+    build_with_pagerank(models, 1.0 / models.len().max(1) as f64)
+}
+
+fn build_with_pagerank(models: &[AppModel], pagerank: f64) -> InvertedIndex {
     let mut b = IndexBuilder::new();
     for m in models {
-        b.add_model(m, Some(1.0 / models.len().max(1) as f64));
+        b.add_model(m, Some(pagerank));
     }
     b.build()
+}
+
+/// Saves `index` to a fresh scratch file and returns the file's bytes.
+fn saved_bytes(index: &InvertedIndex, tag: &str) -> Vec<u8> {
+    let path = scratch_path(tag);
+    save_index(&path, index).expect("save v4");
+    let bytes = std::fs::read(&path).expect("read artifact");
+    let _ = std::fs::remove_file(&path);
+    bytes
 }
 
 /// A unique scratch path per call — proptest shrinks re-enter the test
@@ -114,9 +128,9 @@ fn assert_bit_identical(a: &InvertedIndex, b: &InvertedIndex, queries: &[Query])
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random corpus → save v4 → mmap load: the loaded index is logically
-    /// equal, answers every query bit-identically, and `into_owned`
-    /// round-trips back to the exact builder output.
+    /// Random corpus → save v4 → mmap load: the loaded index has the built
+    /// payload bytes, answers every query bit-identically, and saving it
+    /// again writes the identical file.
     #[test]
     fn v4_roundtrip_is_bit_identical(seed in 0u64..10_000, n_pages in 1usize..24) {
         let models = corpus(seed, n_pages);
@@ -132,11 +146,52 @@ proptest! {
         let queries: Vec<Query> = QUERIES.iter().map(|q| Query::parse(q)).collect();
         assert_bit_identical(&built, &loaded, &queries);
 
-        let owned = loaded.into_owned();
-        prop_assert!(!owned.is_mapped());
-        prop_assert_eq!(&built, &owned);
+        let original = std::fs::read(&path).expect("read artifact");
+        prop_assert!(saved_bytes(&loaded, "resave") == original, "load → save must not change a byte");
 
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Random k-way splits of a corpus, built as separate segments (every
+    /// other one saved and mmap-loaded first) and merged, give the payload
+    /// bytes of one serial build over the whole corpus.
+    #[test]
+    fn merged_splits_equal_serial_build(
+        seed in 0u64..10_000,
+        n_pages in 1usize..24,
+        cuts in proptest::collection::vec(0usize..64, 0..6),
+    ) {
+        let models = corpus(seed, n_pages);
+        let pagerank = 1.0 / n_pages as f64;
+        let serial = build_with_pagerank(&models, pagerank);
+
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n_pages + 1)).collect();
+        bounds.extend([0, n_pages]);
+        bounds.sort_unstable();
+        let segments: Vec<InvertedIndex> = bounds
+            .windows(2)
+            .enumerate()
+            .map(|(i, w)| {
+                let seg = build_with_pagerank(&models[w[0]..w[1]], pagerank);
+                if i % 2 == 1 {
+                    let path = scratch_path("split");
+                    save_index(&path, &seg).expect("save split");
+                    let loaded = load_index(&path).expect("load split");
+                    let _ = std::fs::remove_file(&path);
+                    loaded
+                } else {
+                    seg
+                }
+            })
+            .collect();
+        let k = segments.len();
+        let merged = InvertedIndex::try_merge_segments(segments).expect("merge");
+        prop_assert!(
+            saved_bytes(&merged, "merged") == saved_bytes(&serial, "serial"),
+            "{}-way merge of {} pages differs from the serial build",
+            k,
+            n_pages
+        );
     }
 
     /// A single flipped bit anywhere in the artifact — header line, segment
@@ -206,6 +261,7 @@ fn empty_index_roundtrips() {
     let loaded = load_index(&path).expect("load empty v4");
     assert!(loaded.is_mapped());
     assert_eq!(built, loaded);
-    assert_eq!(built, loaded.into_owned());
+    let original = std::fs::read(&path).expect("read artifact");
+    assert_eq!(saved_bytes(&loaded, "empty-resave"), original);
     let _ = std::fs::remove_file(&path);
 }

@@ -16,7 +16,7 @@ use crate::clock::ServeClock;
 use crate::metrics::Metrics;
 use crate::server::ServeConfig;
 use crate::transport::{Rendezvous, ShardOutcome, ShardTransport, TransportError};
-use ajax_index::{eval_shard, InvertedIndex, Query, RankWeights};
+use ajax_index::{eval_shard_with_scratch, InvertedIndex, Query, RankWeights, ScoreScratch};
 use ajax_net::Micros;
 use ajax_obs::{AttrValue, SpanLog};
 use std::collections::VecDeque;
@@ -156,6 +156,8 @@ fn worker_loop(
     eval_cost_micros: Micros,
     trace: Option<Arc<Mutex<SpanLog>>>,
 ) {
+    // Reused across jobs: every query decodes its posting runs into it.
+    let mut scratch = ScoreScratch::new();
     loop {
         let job = queue.pop();
         let Job::Eval {
@@ -183,14 +185,18 @@ fn worker_loop(
         } else {
             let snapshot = index.read().unwrap().clone();
             let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eval_shard(&snapshot, shard_idx, &query, &weights)
+                eval_shard_with_scratch(&snapshot, shard_idx, &query, &weights, &mut scratch)
             }));
             // Under a manual clock, evaluation "costs" virtual time so load
             // tests can model slow shards deterministically.
             clock.advance(eval_cost_micros);
             match evaluated {
                 Ok((results, stats)) => ShardOutcome::Evaluated(results, stats),
-                Err(_) => ShardOutcome::Failed,
+                Err(_) => {
+                    // The scratch may be poisoned mid-panic; start fresh.
+                    scratch = ScoreScratch::new();
+                    ShardOutcome::Failed
+                }
             }
         };
         if let Some(trace) = &trace {

@@ -198,6 +198,29 @@ fn fsck_passes_on_journal_and_flags_corruption() {
         .status()
         .expect("run fsck");
     assert!(!status.success(), "fsck must flag a torn index as fatal");
+
+    // An intact frame holding a v3 (JSON) index is unreadable by this
+    // build: fatal, with the rebuild remedy named.
+    let v3 = scratch.path("v3.ajx");
+    ajax_crawl::durable::write_framed(
+        &v3,
+        ajax_index::INDEX_MAGIC,
+        3,
+        br#"{"dict":["wow"],"term_offsets":[0,1],"docs":[{"page":0,"state":0}],"counts":[1],"pos_offsets":[0],"positions":[0],"pages":[{"url":"http://x","pagerank":0.5,"ajaxrank":[1.0],"state_lengths":[1]}],"total_states":1}"#,
+    )
+    .expect("write v3 frame");
+    let out = Command::new(&bin)
+        .arg("fsck")
+        .arg(&v3)
+        .stderr(std::process::Stdio::null())
+        .output()
+        .expect("run fsck");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "fsck must flag a v3 index as fatal");
+    assert!(
+        stdout.contains("FATAL") && stdout.contains("rebuild with `ajax-search build`"),
+        "fsck output: {stdout}"
+    );
 }
 
 /// Builds a couple of tiny models for cluster-launch tests.
